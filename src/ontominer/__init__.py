@@ -14,8 +14,7 @@ from .model import (Atom, CombinedKB, Const, DLRule, Predicate, Var,
                     check_dl_safety, make_dl_safe)
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
                        Taxonomy, answer_query, cautious_entails, chase,
-                       classify, equivalent, format_models,
-                       is_satisfiable_query, subsumes)
+                       classify, format_models)
 
 __version__ = "0.1.0"
 
@@ -26,9 +25,8 @@ __all__ = [
     "Pattern", "Predicate", "ProgramRule", "QuerySpec", "RunStats",
     "SemanticContext", "Taxonomy", "Trie", "TrieNode", "UnsupportedAxiom",
     "Var", "answer_query", "cautious_entails", "chase", "check_dl_safety",
-    "classify", "clausify", "equivalent", "format_models", "format_program",
-    "is_satisfiable_query", "load_kb", "make_dl_safe", "mine", "normalize",
-    "parse_kb", "refine_candidates", "refine_with_taxonomy",
-    "semantic_filter", "serialize_kb", "subsumes", "support",
+    "classify", "clausify", "format_models", "format_program", "load_kb",
+    "make_dl_safe", "mine", "normalize", "parse_kb", "refine_candidates",
+    "refine_with_taxonomy", "semantic_filter", "serialize_kb", "support",
     "trivial_pattern",
 ]

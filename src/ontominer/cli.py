@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 parse/validation error, 2 inconsistent KB,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,32 +122,38 @@ def _mining_config(cfg: RunConfig, mode: str) -> mining.MiningConfig:
         cp_keep_nondl=cfg.cp_keep_nondl)
 
 
+# Exit code for each error a run reports as an ``error:`` line.
+_EXIT_CODES = {ParseError: 1, UnsupportedAxiom: 1, OSError: 1, ValueError: 1,
+               InconsistentKB: 2, EmptyReferenceConcept: 3,
+               BranchLimitExceeded: 4}
+
+
+def _exit_code_on_error(command):
+    @functools.wraps(command)
+    def wrapper(cfg: RunConfig) -> int:
+        try:
+            return command(cfg)
+        except tuple(_EXIT_CODES) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES.items()
+                        if isinstance(e, kind))
+    return wrapper
+
+
+@_exit_code_on_error
 def run(cfg: RunConfig) -> int:
     """Mine one configuration and write patterns, stats, and the trie."""
-    try:
-        kb = _load(cfg)
-        chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
-        if cfg.dump_program:
-            Path(cfg.dump_program).write_text(format_program(clausify(kb)),
-                                              encoding="utf-8")
-        if cfg.dump_models:
-            ms = chase(clausify(kb), kb.abox, chase_cfg)
-            Path(cfg.dump_models).write_text(format_models(ms), encoding="utf-8")
-        result = mining.mine(kb, _mining_config(cfg, cfg.mode), chase_cfg)
-    except (ParseError, UnsupportedAxiom, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except InconsistentKB as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except EmptyReferenceConcept as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except BranchLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+    kb = _load(cfg)
+    chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if cfg.dump_program:
+        Path(cfg.dump_program).write_text(format_program(clausify(kb)),
+                                          encoding="utf-8")
+    if cfg.dump_models:
+        ms = chase(clausify(kb), kb.abox, chase_cfg)
+        Path(cfg.dump_models).write_text(format_models(ms), encoding="utf-8")
+    result = mining.mine(kb, _mining_config(cfg, cfg.mode), chase_cfg)
     _write_patterns(out / "patterns.txt", result)
     _write_stats(out / "stats.csv", result)
     _write_graphml(out / "trie.graphml", result)
@@ -155,30 +162,18 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+@_exit_code_on_error
 def compare_modes(cfg: RunConfig) -> int:
     """Run the requested settings on one KB and report the per-depth
     candidate/frequent reductions of the non-semantic run over the
     semantic one."""
-    try:
-        kb = _load(cfg)
-        chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
-        results = {}
-        for mode in cfg.compare_modes:
-            results[mode] = mining.mine(kb, _mining_config(cfg, mode), chase_cfg)
-    except (ParseError, UnsupportedAxiom, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except InconsistentKB as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except EmptyReferenceConcept as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except BranchLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+    kb = _load(cfg)
+    chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    results = {}
+    for mode in cfg.compare_modes:
+        results[mode] = mining.mine(kb, _mining_config(cfg, mode), chase_cfg)
     depths = sorted({d for r in results.values() for d in r.stats.per_depth})
     header = ["depth"]
     for mode in results:

@@ -499,16 +499,6 @@ class _Miner:
             self.expand_node(child, trie)
 
 
-def expand_node(node: TrieNode, trie: Trie, kb: m.CombinedKB,
-                cfg: MiningConfig, chase_cfg: ChaseConfig = ChaseConfig()) -> Trie:
-    """Run the recursive expansion from ``node`` against a fresh evaluation
-    context; ``mine`` is the usual entry point, this exists for driving the
-    expansion from a prepared trie in tests."""
-    miner = _Miner(kb, cfg, chase_cfg)
-    miner.expand_node(node, trie)
-    return trie
-
-
 def mine(kb: m.CombinedKB, cfg: MiningConfig,
          chase_cfg: ChaseConfig = ChaseConfig()) -> MineResult:
     """Discover all frequent, semantically non-redundant patterns.

@@ -134,6 +134,68 @@ def _instantiate(slots: tuple, binding: list) -> GroundAtom:
     return tuple(s[1] if s[0] == "c" else binding[s[1]] for s in slots)
 
 
+def _match(by_pred: dict[str, list], consts: Sequence[str], named: frozenset,
+           named_sorted: Sequence[str], body: tuple, i: int, binding: list):
+    """Yield every extension of ``binding`` that grounds ``body[i:]`` in the
+    atoms indexed by ``by_pred``.  ``O`` holds the ``named`` constants and
+    ``$top`` every constant in ``consts``; the yielded list is reused, so
+    copy what must outlive the next step."""
+    if i == len(body):
+        yield binding
+        return
+    pred, slots = body[i]
+    if pred == m.O_PRED:
+        s = slots[0]
+        if s[0] == "c":
+            if s[1] in named:
+                yield from _match(by_pred, consts, named, named_sorted, body,
+                                  i + 1, binding)
+        elif binding[s[1]] is not None:
+            if binding[s[1]] in named:
+                yield from _match(by_pred, consts, named, named_sorted, body,
+                                  i + 1, binding)
+        else:
+            for c in named_sorted:
+                binding[s[1]] = c
+                yield from _match(by_pred, consts, named, named_sorted, body,
+                                  i + 1, binding)
+            binding[s[1]] = None
+        return
+    if pred == TOP_PRED:
+        s = slots[0]
+        if s[0] == "c" or binding[s[1]] is not None:
+            yield from _match(by_pred, consts, named, named_sorted, body,
+                              i + 1, binding)
+        else:
+            for c in list(consts):
+                binding[s[1]] = c
+                yield from _match(by_pred, consts, named, named_sorted, body,
+                                  i + 1, binding)
+            binding[s[1]] = None
+        return
+    for atom in by_pred.get(pred, ()):
+        bound: list[int] = []
+        ok = True
+        for s, val in zip(slots, atom[1:]):
+            if s[0] == "c":
+                if s[1] != val:
+                    ok = False
+                    break
+            else:
+                cur = binding[s[1]]
+                if cur is None:
+                    binding[s[1]] = val
+                    bound.append(s[1])
+                elif cur != val:
+                    ok = False
+                    break
+        if ok:
+            yield from _match(by_pred, consts, named, named_sorted, body,
+                              i + 1, binding)
+        for idx in bound:
+            binding[idx] = None
+
+
 class _Branch:
     __slots__ = ("atoms", "by_pred", "consts", "const_set")
 
@@ -190,61 +252,11 @@ class _Chase:
         base_atoms = [(a.pred,) + tuple(t.name for t in a.args) for a in facts]
         self.root = _Branch(sorted(base_atoms), self.individuals_sorted)
 
-    # -- matching -----------------------------------------------------------
-
-    def _match(self, branch: _Branch, body: tuple, i: int, binding: list):
-        if i == len(body):
-            yield binding
-            return
-        pred, slots = body[i]
-        if pred == m.O_PRED:
-            s = slots[0]
-            if s[0] == "c":
-                if s[1] in self.individuals:
-                    yield from self._match(branch, body, i + 1, binding)
-            elif binding[s[1]] is not None:
-                if binding[s[1]] in self.individuals:
-                    yield from self._match(branch, body, i + 1, binding)
-            else:
-                for c in self.individuals_sorted:
-                    binding[s[1]] = c
-                    yield from self._match(branch, body, i + 1, binding)
-                binding[s[1]] = None
-            return
-        if pred == TOP_PRED:
-            s = slots[0]
-            if s[0] == "c" or binding[s[1]] is not None:
-                yield from self._match(branch, body, i + 1, binding)
-            else:
-                for c in list(branch.consts):
-                    binding[s[1]] = c
-                    yield from self._match(branch, body, i + 1, binding)
-                binding[s[1]] = None
-            return
-        for atom in branch.by_pred.get(pred, ()):
-            bound: list[int] = []
-            ok = True
-            for s, val in zip(slots, atom[1:]):
-                if s[0] == "c":
-                    if s[1] != val:
-                        ok = False
-                        break
-                else:
-                    cur = binding[s[1]]
-                    if cur is None:
-                        binding[s[1]] = val
-                        bound.append(s[1])
-                    elif cur != val:
-                        ok = False
-                        break
-            if ok:
-                yield from self._match(branch, body, i + 1, binding)
-            for idx in bound:
-                binding[idx] = None
-
     def _bindings(self, branch: _Branch, rule: _CompiledRule) -> list[tuple]:
         out = []
-        for b in self._match(branch, rule.body, 0, [None] * rule.nvars):
+        for b in _match(branch.by_pred, branch.consts, self.individuals,
+                        self.individuals_sorted, rule.body, 0,
+                        [None] * rule.nvars):
             out.append(tuple(b))
         return out
 
@@ -288,7 +300,9 @@ class _Chase:
         while True:
             changed = False
             for rule in self.constraints:
-                for _ in self._match(branch, rule.body, 0, [None] * rule.nvars):
+                for _ in _match(branch.by_pred, branch.consts,
+                                self.individuals, self.individuals_sorted,
+                                rule.body, 0, [None] * rule.nvars):
                     return "dead"
             for rule in self.horn:
                 head = rule.heads[0][1]
@@ -414,80 +428,29 @@ def cautious_entails(ms: ModelSet, atom: m.Atom) -> bool:
 # Query answering
 # ---------------------------------------------------------------------------
 
-def _model_answers(index: dict[str, list], individuals: frozenset[str],
-                   individuals_sorted: list[str], q: QuerySpec) -> frozenset[str]:
-    body = list(q.body)
-    has_key = any(q.key in a.variables() for a in body)
-    answers: set[str] = set()
-    binding: dict[m.Var, str] = {}
-
-    def walk(i: int) -> bool:
-        """Returns True once a grounding was found and key is not in body."""
-        if i == len(body):
-            if has_key:
-                answers.add(binding[q.key])
-                return False
-            return True
-        atom = body[i]
-        if atom.pred == m.O_PRED:
-            t = atom.args[0]
-            if isinstance(t, m.Const):
-                return t.name in individuals and walk(i + 1)
-            if t in binding:
-                return walk(i + 1)
-            for c in individuals_sorted:
-                binding[t] = c
-                if walk(i + 1):
-                    del binding[t]
-                    return True
-            del binding[t]
-            return False
-        for fact in index.get(atom.pred, ()):
-            bound: list[m.Var] = []
-            ok = True
-            for t, val in zip(atom.args, fact[1:]):
-                if isinstance(t, m.Const):
-                    if t.name != val:
-                        ok = False
-                        break
-                elif t in binding:
-                    if binding[t] != val:
-                        ok = False
-                        break
-                else:
-                    if val not in individuals:
-                        ok = False
-                        break
-                    binding[t] = val
-                    bound.append(t)
-            if ok and walk(i + 1):
-                for v in bound:
-                    del binding[v]
-                return True
-            for v in bound:
-                del binding[v]
-        return False
-
-    if walk(0):
-        return frozenset(individuals)  # key unconstrained, body satisfiable
-    return frozenset(answers)
-
-
 def answer_query(ms: ModelSet, individuals: frozenset[str],
                  q: QuerySpec) -> frozenset[str]:
     """Certain answers: individuals that can ground ``key`` in every model,
     with all variables bound to named individuals."""
     if ms.inconsistent:
         raise InconsistentKB("query answering undefined: KB is inconsistent")
+    varmap = {q.key: 0}
+    body = [_compile_atom(a, varmap) for a in q.body]
+    # DL-safety made explicit: one O atom per variable, matched after the
+    # body.  If ``key`` is not in the body, O(key) ranges it over every
+    # individual once the body is satisfied.
+    body += [(m.O_PRED, (("v", i),)) for i in range(len(varmap))]
+    body = tuple(body)
     individuals_sorted = sorted(individuals)
     result: Optional[frozenset[str]] = None
     for model in ms.models:
         index: dict[str, list] = {}
         for atom in model:
             index.setdefault(atom[0], []).append(atom)
-        for entries in index.values():
-            entries.sort()
-        answers = _model_answers(index, individuals, individuals_sorted, q)
+        # Models hold no $top atoms, and query bodies none either.
+        answers = frozenset(b[0] for b in _match(
+            index, (), individuals, individuals_sorted, body, 0,
+            [None] * len(varmap)))
         result = answers if result is None else (result & answers)
         if not result:
             return frozenset()
@@ -590,23 +553,6 @@ class SemanticContext:
         if c1 == c2:
             return True
         return self.subsumes(q1, q2) and self.subsumes(q2, q1)
-
-
-def is_satisfiable_query(kb_cp: m.CombinedKB, q: QuerySpec,
-                         cfg: ChaseConfig = ChaseConfig()) -> bool:
-    """Freeze the query variables to fresh named constants, assert the body
-    against the intensional KB, chase, and report consistency."""
-    return SemanticContext(kb_cp, cfg).satisfiable(q)
-
-
-def subsumes(q1: QuerySpec, q2: QuerySpec, kb_cp: m.CombinedKB,
-             cfg: ChaseConfig = ChaseConfig()) -> bool:
-    return SemanticContext(kb_cp, cfg).subsumes(q1, q2)
-
-
-def equivalent(q1: QuerySpec, q2: QuerySpec, kb_cp: m.CombinedKB,
-               cfg: ChaseConfig = ChaseConfig()) -> bool:
-    return SemanticContext(kb_cp, cfg).equivalent(q1, q2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Independent reference computations the test suite checks the engine
-against: minimal models by subset enumeration over the Herbrand base, and
-the pattern space by exhaustive enumeration of refinement sequences."""
+against: minimal models by subset enumeration over the Herbrand base,
+certain answers by enumeration of variable assignments, and the pattern
+space by exhaustive enumeration of refinement sequences."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Sequence
 from ontominer import model as m
 from ontominer.clausify import GroundProgram
 from ontominer.miner import KEY, Pattern, _make_atom, _placements
-from ontominer.reasoner import canonical_query
+from ontominer.reasoner import ModelSet, QuerySpec, canonical_query
 
 
 def brute_force_minimal_models(program: GroundProgram,
@@ -69,6 +70,31 @@ def brute_force_minimal_models(program: GroundProgram,
     as_sets = [frozenset(atom for atom, b in bit.items() if b & s)
                for s in minimal]
     return as_sets, not models
+
+
+def brute_force_certain_answers(ms: ModelSet, individuals: frozenset[str],
+                                q: QuerySpec) -> frozenset[str]:
+    """Certain answers by enumeration: every assignment of the query
+    variables to individuals that puts each body atom in a model (an O
+    atom: its argument is an individual) answers with its ``key`` in that
+    model; the certain answers are those of every model."""
+    variables = q.variables()
+    position = {v: i for i, v in enumerate(variables)}
+    body = [(a.pred, [(position.get(t), t.name) for t in a.args])
+            for a in q.body]
+    per_model: list[set[str]] = [set() for _ in ms.models]
+    for values in product(sorted(individuals), repeat=len(variables)):
+        ground = [(pred,) + tuple(name if i is None else values[i]
+                                  for i, name in args)
+                  for pred, args in body]
+        if not all(g[1] in individuals for g in ground if g[0] == m.O_PRED):
+            continue
+        facts = [g for g in ground if g[0] != m.O_PRED]
+        for model, answers in zip(ms.models, per_model):
+            if all(g in model for g in facts):
+                answers.add(values[0])
+    return frozenset(set.intersection(*per_model)) if per_model \
+        else frozenset()
 
 
 def enumerate_pattern_space(reference_concept: str,

@@ -1,5 +1,8 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
+from ontominer import miner as mining
 from ontominer.cli import main
 
 
@@ -101,28 +104,38 @@ def test_pattern_lines_match_freq_counters(bank_path, tmp_path):
         assert per_depth.get(int(depth), 0) == int(counts[-1])
 
 
+COMMANDS = ("mine", "compare")
+
+
+def exit_codes(kb, ref_concept, tmp_path, *extra):
+    """The exit code of each command on the KB, as {command: code}; the
+    four error tests below run both commands because they share one error
+    table."""
+    codes = {}
+    for command in COMMANDS:
+        codes[command] = run_cli(command, "--kb", str(kb), "--ref-concept",
+                                 ref_concept, "--minsup", "0.5",
+                                 "--max-depth", "2", *extra,
+                                 "--out", str(tmp_path / f"o-{command}"))
+    return codes
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.kb"
     bad.write_text("(concept A\n")
-    assert run_cli("mine", "--kb", str(bad), "--ref-concept", "A",
-                   "--minsup", "0.5", "--max-depth", "2",
-                   "--out", str(tmp_path / "o")) == 1
+    assert exit_codes(bad, "A", tmp_path) == {"mine": 1, "compare": 1}
 
 
 def test_inconsistent_kb_exit_code(tmp_path):
     bad = tmp_path / "inc.kb"
     bad.write_text("(disjoint A B)\n(instance A x)\n(instance B x)\n")
-    assert run_cli("mine", "--kb", str(bad), "--ref-concept", "A",
-                   "--minsup", "0.5", "--max-depth", "2",
-                   "--out", str(tmp_path / "o")) == 2
+    assert exit_codes(bad, "A", tmp_path) == {"mine": 2, "compare": 2}
 
 
 def test_empty_reference_concept_exit_code(tmp_path):
     kb = tmp_path / "empty_ref.kb"
     kb.write_text("(concept A)\n(concept B)\n(instance B x)\n")
-    assert run_cli("mine", "--kb", str(kb), "--ref-concept", "A",
-                   "--minsup", "0.5", "--max-depth", "2",
-                   "--out", str(tmp_path / "o")) == 3
+    assert exit_codes(kb, "A", tmp_path) == {"mine": 3, "compare": 3}
 
 
 def test_branch_limit_exit_code(tmp_path):
@@ -131,9 +144,26 @@ def test_branch_limit_exit_code(tmp_path):
     lines += [f"(related r s t{i})" for i in range(8)]
     lines += ["(instance A s)"]
     kb.write_text("\n".join(lines) + "\n")
-    assert run_cli("mine", "--kb", str(kb), "--ref-concept", "A",
+    assert exit_codes(kb, "A", tmp_path, "--max-branches", "4") == {
+        "mine": 4, "compare": 4}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_path_is_a_file_fails_before_mining(bank_path, tmp_path, capsys,
+                                                monkeypatch, command):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+
+    def must_not_mine(*args, **kwargs):
+        raise AssertionError("mined although the output path is unusable")
+
+    monkeypatch.setattr(mining, "mine", must_not_mine)
+    assert run_cli(command, "--kb", bank_path, "--ref-concept", "Client",
                    "--minsup", "0.5", "--max-depth", "2",
-                   "--max-branches", "4", "--out", str(tmp_path / "o")) == 4
+                   "--out", str(blocker)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_compare_outputs_reductions(bank_path, tmp_path):

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
 from genkb import random_program, usable_kbs
-from oracles import brute_force_minimal_models
+from oracles import brute_force_certain_answers, brute_force_minimal_models
 from ontominer import model as m
 from ontominer.clausify import GroundProgram, ProgramRule, clausify
 from ontominer.errors import BranchLimitExceeded, InconsistentKB
 from ontominer.kbparse import parse_kb
+from ontominer.miner import MODE_NOSEM, MiningConfig, mine
 from ontominer.reasoner import (ChaseConfig, QuerySpec, SemanticContext,
                                 answer_query, canonical_query,
                                 cautious_entails, chase, classify,
@@ -192,6 +195,32 @@ def test_adding_atom_never_enlarges_answers(bank_kb):
         grown = answer_query(ms, bank_kb.individuals,
                              QuerySpec(KEY, tuple(base + [ext])))
         assert grown <= prev
+
+
+def test_answer_query_matches_brute_force(bank_kb, bank_inverse_kb):
+    # Every nosem trie pattern of seeded KBs and of both bank KBs, each
+    # also with its reference atom dropped (so ``key`` may be missing from
+    # the body), plus a query holding a constant.
+    cases = [(kb, "C0", Fraction(2, 5)) for _, kb in usable_kbs(8)]
+    cases += [(bank_kb, "Client", Fraction(1, 2)),
+              (bank_inverse_kb, "Client", Fraction(1, 2))]
+    checked = 0
+    for kb, ref, minsup in cases:
+        ms = chase(clausify(kb), kb.abox)
+        result = mine(kb, MiningConfig(ref, minsup, 3, MODE_NOSEM))
+        queries = []
+        for pattern, _ in result.patterns:
+            queries += [pattern.query(), QuerySpec(KEY, pattern.atoms[1:])]
+        if kb is bank_kb:
+            queries.append(QuerySpec(KEY, (
+                A(kb, "isOwnerOf", KEY, "account2"),)))
+        for q in queries:
+            if len(q.variables()) > 4:
+                continue
+            assert answer_query(ms, kb.individuals, q) == \
+                brute_force_certain_answers(ms, kb.individuals, q), str(q)
+            checked += 1
+    assert checked > 500
 
 
 # -- satisfiability, containment, equivalence ----------------------------------
