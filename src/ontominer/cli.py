@@ -42,7 +42,6 @@ class RunConfig:
     out_dir: str = "out"
     covering_complement: bool = False
     cp_keep_nondl: bool = False
-    equiv_scan: str = "whole-trie"
     skolem_depth: int = 3
     max_branches: int = 100000
     dump_program: Optional[str] = None
@@ -118,7 +117,6 @@ def _mining_config(cfg: RunConfig, mode: str) -> mining.MiningConfig:
         max_depth=cfg.max_depth,
         mode=mode,
         bias=cfg.bias,
-        equiv_scan_whole=(cfg.equiv_scan == "whole-trie"),
         cp_keep_nondl=cfg.cp_keep_nondl)
 
 
@@ -229,8 +227,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cp-keep-nondl", action="store_true",
                    help="keep non-DL facts in the KB copy used for the "
                         "semantic tests")
-    p.add_argument("--equiv-scan", choices=["whole-trie", "same-depth"],
-                   default="whole-trie")
     p.add_argument("--skolem-depth", type=int, default=3)
     p.add_argument("--max-branches", type=int, default=100000)
     p.add_argument("--dump-program", default=None, metavar="FILE")
@@ -250,7 +246,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out,
         covering_complement=args.covering_complement,
         cp_keep_nondl=args.cp_keep_nondl,
-        equiv_scan=args.equiv_scan,
         skolem_depth=args.skolem_depth,
         max_branches=args.max_branches,
         dump_program=args.dump_program,

@@ -21,7 +21,8 @@ Children of a node arise two ways:
 In ``sem`` mode each candidate must pass, in order: satisfiability against
 the intensional KB, semantic freeness (no non-reference atom is deducible
 from the rest), and non-equivalence to any frequent pattern already in the
-trie.  ``nosem`` skips all three.  ``sem-tax`` additionally drives concept
+trie, tested only against the nodes that share its frozen-chase signature
+(``SemanticContext.signature``).  ``nosem`` skips all three.  ``sem-tax`` additionally drives concept
 and role candidates top-down through the entailed taxonomy: only root
 predicates are drawn for an unconstrained variable, a frequent atom spawns
 its direct specializations as sibling candidates, and an infrequent one
@@ -152,12 +153,19 @@ class Trie:
         root.seq = 0
         self._seq = 1
         self.by_depth: dict[int, list[TrieNode]] = {1: [root]}
+        # Equivalence-scan index, filled lazily by ``semantic_filter`` so
+        # that runs without the semantic tests never compute a signature:
+        # nodes by frozen-chase signature (None: the chase has none), and
+        # nodes registered since the last scan.
+        self.by_signature: dict[Optional[frozenset], list[TrieNode]] = {}
+        self.unindexed: list[TrieNode] = [root]
 
     def register(self, parent: TrieNode, node: TrieNode) -> None:
         node.seq = self._seq
         self._seq += 1
         parent.children.append(node)
         self.by_depth.setdefault(node.depth, []).append(node)
+        self.unindexed.append(node)
 
     def nodes(self) -> list[TrieNode]:
         out = []
@@ -166,15 +174,19 @@ class Trie:
         out.sort(key=lambda n: n.seq)
         return out
 
-    def scan_order(self, depth: int) -> list[TrieNode]:
-        """Equivalence-scan order: same depth newest first, then shallower
-        depths, then deeper ones."""
-        order: list[TrieNode] = list(reversed(self.by_depth.get(depth, [])))
-        for d in range(depth - 1, 0, -1):
-            order.extend(reversed(self.by_depth.get(d, [])))
-        for d in sorted(dd for dd in self.by_depth if dd > depth):
-            order.extend(reversed(self.by_depth[d]))
-        return order
+    def equivalence_scan(self, signature: Optional[frozenset],
+                         ctx: SemanticContext) -> list[TrieNode]:
+        """The nodes a query with this signature may be equivalent to: the
+        nodes sharing it plus those without one, or every node when the
+        query has none."""
+        for node in self.unindexed:
+            self.by_signature.setdefault(
+                ctx.signature(node.pattern.query()), []).append(node)
+        self.unindexed = []
+        if signature is None:
+            return self.nodes()
+        return (self.by_signature.get(signature, [])
+                + self.by_signature.get(None, []))
 
 
 @dataclass(frozen=True)
@@ -184,7 +196,6 @@ class MiningConfig:
     max_depth: int
     mode: str = MODE_SEM
     bias: Optional[tuple[str, ...]] = None
-    equiv_scan_whole: bool = True
     cp_keep_nondl: bool = False
 
     def __post_init__(self):
@@ -367,17 +378,15 @@ def is_semantically_free(pattern: Pattern, ctx: SemanticContext) -> bool:
 
 
 def semantic_filter(pattern: Pattern, ctx: SemanticContext, trie: Trie,
-                    mode: str, equiv_scan_whole: bool = True) -> str:
-    """Satisfiability, then semantic freeness, then the equivalence scan."""
+                    mode: str) -> str:
+    """Satisfiability, then semantic freeness, then the equivalence scan
+    over the trie nodes that share the candidate's signature."""
     q = pattern.query()
     if not ctx.satisfiable(q):
         return PRUNED_UNSAT
     if not is_semantically_free(pattern, ctx):
         return PRUNED_NOT_SFREE
-    depth = len(pattern.atoms)
-    scan = trie.scan_order(depth) if equiv_scan_whole else \
-        list(reversed(trie.by_depth.get(depth, [])))
-    for other in scan:
+    for other in trie.equivalence_scan(ctx.signature(q), ctx):
         if ctx.equivalent(q, other.pattern.query()):
             return PRUNED_EQUIVALENT
     return ACCEPTED
@@ -467,8 +476,7 @@ class _Miner:
                 node.expansion.sat += 1
                 node.expansion.sfree += 1
             else:
-                verdict = semantic_filter(child_pattern, self.ctx, trie, mode,
-                                          self.cfg.equiv_scan_whole)
+                verdict = semantic_filter(child_pattern, self.ctx, trie, mode)
                 if verdict == PRUNED_UNSAT:
                     continue
                 counts.sat += 1

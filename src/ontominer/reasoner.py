@@ -554,6 +554,27 @@ class SemanticContext:
             return True
         return self.subsumes(q1, q2) and self.subsumes(q2, q1)
 
+    def signature(self, q: QuerySpec) -> Optional[frozenset]:
+        """What every minimal model of the frozen chase of ``q`` holds: each
+        predicate that occurs, and each ``(pred, i)`` with the frozen key at
+        argument ``i``.  Equivalent queries have equal signatures: the
+        containment mapping that sends one frozen body into the other's
+        models fixes the key and keeps named constants named, so whatever
+        one side's models all hold, the other's hold too.  Positions that do
+        not hold the key are left out, since that mapping may merge
+        variables into the key.  None when the chase is truncated (or
+        inconsistent), where the argument does not hold."""
+        ms, _ = self._frozen_chase(q)
+        if ms.truncated or ms.inconsistent:
+            return None
+        common: Optional[set] = None
+        for model in ms.models:
+            marks = {a[0] for a in model}
+            marks.update((a[0], i) for a in model
+                         for i, c in enumerate(a[1:]) if c == "$q0")
+            common = marks if common is None else common & marks
+        return frozenset(common)
+
 
 # ---------------------------------------------------------------------------
 # Classification
