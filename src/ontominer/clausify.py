@@ -24,6 +24,7 @@ deterministic: the same KB yields the same rule sequence with stable ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from . import model as m
@@ -51,12 +52,54 @@ class ExistsHead:
 HeadAtom = Union[m.Atom, ExistsHead]
 
 
+def compile_atom(atom: m.Atom, varmap: dict[m.Var, int]) -> tuple:
+    """``(pred, slots)`` with one slot per argument: ``("c", name)`` for a
+    constant, ``("v", index)`` for a variable, numbered in order of first
+    occurrence through ``varmap``."""
+    slots = []
+    for t in atom.args:
+        if isinstance(t, m.Const):
+            slots.append(("c", t.name))
+        else:
+            if t not in varmap:
+                varmap[t] = len(varmap)
+            slots.append(("v", varmap[t]))
+    return (atom.pred, tuple(slots))
+
+
 @dataclass(frozen=True)
 class ProgramRule:
     rid: str
     head: tuple[HeadAtom, ...]
     body: tuple[m.Atom, ...]
     origin: str = ""
+
+    @cached_property
+    def compiled(self) -> tuple:
+        """The rule up to variable renaming, as the chase matches it:
+        ``(body, heads, nvars)``.  Body atoms are compiled by
+        ``compile_atom``; a head is ``("atom", compiled atom)`` or
+        ``("exists", role, inverse, filler, frontier variable index)``.
+        Computed once per rule object; raises ValueError when a head
+        variable (an existential frontier variable included, since it
+        denotes the subject the witness hangs off) is missing from the
+        body."""
+        varmap: dict[m.Var, int] = {}
+        body = tuple(compile_atom(a, varmap) for a in self.body)
+        body_vars = len(varmap)
+        heads = []
+        for h in self.head:
+            if isinstance(h, ExistsHead):
+                if h.var not in varmap:
+                    varmap[h.var] = len(varmap)
+                heads.append(("exists", h.role.name, h.role.inverse, h.filler,
+                              varmap[h.var]))
+            else:
+                heads.append(("atom", compile_atom(h, varmap)))
+        if len(varmap) != body_vars:
+            raise ValueError(f"rule {self.rid} is not range-restricted: "
+                             f"head variables missing from the body")
+        return body, tuple(heads), len(varmap)
 
     def is_horn(self) -> bool:
         return len(self.head) == 1 and isinstance(self.head[0], m.Atom)
@@ -369,45 +412,19 @@ def _role_atom(role: m.RoleExpr, subj: m.Term, obj: m.Term) -> m.Atom:
     return m.Atom(role.name, (subj, obj), m.ROLE)
 
 
-def _canonical_signature(head: tuple[HeadAtom, ...], body: tuple[m.Atom, ...]) -> tuple:
-    """Rule identity up to variable renaming, for deduplication."""
-    mapping: dict[m.Var, str] = {}
-
-    def term_key(t: m.Term):
-        if isinstance(t, m.Const):
-            return ("c", t.name)
-        if t not in mapping:
-            mapping[t] = f"v{len(mapping)}"
-        return ("v", mapping[t])
-
-    def atom_key(a) -> tuple:
-        if isinstance(a, ExistsHead):
-            return ("exists", a.role.name, a.role.inverse, a.filler,
-                    term_key(a.var))
-        return (a.pred,) + tuple(term_key(t) for t in a.args)
-
-    return (tuple(atom_key(b) for b in body), tuple(atom_key(h) for h in head))
-
-
 class _Emitter:
     def __init__(self):
         self.rules: list[ProgramRule] = []
         self.seen: set = set()
 
     def emit(self, head, body, origin: str) -> None:
-        head, body = tuple(head), tuple(body)
-        sig = _canonical_signature(head, body)
-        if sig in self.seen:
-            return
-        self.seen.add(sig)
-        # Range restriction: every head variable must occur in the body
-        # (existential frontier variables included, since they denote the
-        # subject the witness hangs off).
-        body_vars = {v for a in body for v in a.variables()}
-        for h in head:
-            hvars = (h.var,) if isinstance(h, ExistsHead) else h.variables()
-            assert all(v in body_vars for v in hvars), f"not range-restricted: {head} :- {body}"
-        self.rules.append(ProgramRule(f"r{len(self.rules)}", head, body, origin))
+        """Append the rule unless one equal up to variable renaming is
+        already in the program."""
+        rule = ProgramRule(f"r{len(self.rules)}", tuple(head), tuple(body),
+                           origin)
+        if rule.compiled not in self.seen:
+            self.seen.add(rule.compiled)
+            self.rules.append(rule)
 
 
 def _inclusion_rule(inc: NormalInclusion, emit: _Emitter) -> None:

@@ -73,10 +73,6 @@ class Pattern:
     def __post_init__(self):
         assert self.atoms, "a pattern has at least the reference atom"
 
-    @property
-    def key(self) -> m.Var:
-        return KEY
-
     def query(self) -> QuerySpec:
         return QuerySpec(KEY, self.atoms)
 
@@ -150,9 +146,8 @@ class TrieNode:
 class Trie:
     def __init__(self, root: TrieNode):
         self.root = root
-        root.seq = 0
-        self._seq = 1
-        self.by_depth: dict[int, list[TrieNode]] = {1: [root]}
+        # Every node in registration order, which is ``seq`` order.
+        self._nodes: list[TrieNode] = [root]
         # Equivalence-scan index, filled lazily by ``semantic_filter`` so
         # that runs without the semantic tests never compute a signature:
         # nodes by frozen-chase signature (None: the chase has none), and
@@ -161,18 +156,13 @@ class Trie:
         self.unindexed: list[TrieNode] = [root]
 
     def register(self, parent: TrieNode, node: TrieNode) -> None:
-        node.seq = self._seq
-        self._seq += 1
+        node.seq = len(self._nodes)
         parent.children.append(node)
-        self.by_depth.setdefault(node.depth, []).append(node)
+        self._nodes.append(node)
         self.unindexed.append(node)
 
     def nodes(self) -> list[TrieNode]:
-        out = []
-        for depth in sorted(self.by_depth):
-            out.extend(self.by_depth[depth])
-        out.sort(key=lambda n: n.seq)
-        return out
+        return list(self._nodes)
 
     def equivalence_scan(self, signature: Optional[frozenset],
                          ctx: SemanticContext) -> list[TrieNode]:
@@ -320,7 +310,7 @@ def _copy_right_brother(pattern: Pattern, node: TrieNode,
     return None if atom in pattern.atoms else atom
 
 
-def refine_candidates(node: TrieNode, trie: Trie,
+def refine_candidates(node: TrieNode,
                       bias: Sequence[m.Predicate]) -> list[m.Atom]:
     """Candidate atoms to append below ``node``: dependent atoms first
     (bias order, then placement order), then right-brother copies."""
@@ -332,7 +322,7 @@ def refine_candidates(node: TrieNode, trie: Trie,
     return out
 
 
-def refine_with_taxonomy(node: TrieNode, trie: Trie, taxonomy: Taxonomy,
+def refine_with_taxonomy(node: TrieNode, taxonomy: Taxonomy,
                          bias: Sequence[m.Predicate]) -> list[m.Atom]:
     """Taxonomy-guided variant: concept and role dependent atoms are drawn
     from taxonomy roots only (deeper predicates are spawned as siblings once
@@ -377,8 +367,7 @@ def is_semantically_free(pattern: Pattern, ctx: SemanticContext) -> bool:
     return True
 
 
-def semantic_filter(pattern: Pattern, ctx: SemanticContext, trie: Trie,
-                    mode: str) -> str:
+def semantic_filter(pattern: Pattern, ctx: SemanticContext, trie: Trie) -> str:
     """Satisfiability, then semantic freeness, then the equivalence scan
     over the trie nodes that share the candidate's signature."""
     q = pattern.query()
@@ -454,9 +443,9 @@ class _Miner:
             return
         mode = self.cfg.mode
         if mode == MODE_SEM_TAX:
-            worklist = refine_with_taxonomy(node, trie, self.taxonomy, self.bias)
+            worklist = refine_with_taxonomy(node, self.taxonomy, self.bias)
         else:
-            worklist = refine_candidates(node, trie, self.bias)
+            worklist = refine_candidates(node, self.bias)
         bias_names = {p.name: p for p in self.bias}
         counts = self.stats.at(node.depth + 1)
         seen: set[m.Atom] = set()
@@ -476,7 +465,7 @@ class _Miner:
                 node.expansion.sat += 1
                 node.expansion.sfree += 1
             else:
-                verdict = semantic_filter(child_pattern, self.ctx, trie, mode)
+                verdict = semantic_filter(child_pattern, self.ctx, trie)
                 if verdict == PRUNED_UNSAT:
                     continue
                 counts.sat += 1

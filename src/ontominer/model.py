@@ -314,11 +314,11 @@ def valid_identifier(name: str) -> bool:
     return bool(IDENT_RE.match(name))
 
 
-def check_dl_safety(rule: DLRule, individuals: frozenset[str] = frozenset()) -> bool:
+def check_dl_safety(rule: DLRule) -> bool:
     """True iff every variable of the rule occurs in some non-DL body atom.
 
     O atoms count as non-DL.  Constants need no cover, so a ground rule is
-    vacuously safe; ``individuals`` is accepted for interface uniformity.
+    vacuously safe.
     """
     covered: set[Var] = set()
     for atom in rule.body:

@@ -3,9 +3,10 @@
 The chase saturates a fact set under the program rules, branch by branch:
 
   * Horn rules fire to fixpoint.
-  * Existential heads create a memoized fresh constant per (rule, binding)
-    unless an existing witness already satisfies the head.  The nesting
-    depth of fresh constants is capped; hitting the cap sets ``truncated``.
+  * Existential heads create a memoized fresh constant per (rule, disjunct,
+    binding) unless an existing witness already satisfies the head; a
+    single-head rule counts as disjunct 0.  The nesting depth of fresh
+    constants is capped; hitting the cap sets ``truncated``.
   * Disjunctive heads split the branch, one child per disjunct, skipping
     instances with a disjunct already true.
   * Constraints (empty heads) kill the branch.
@@ -32,7 +33,8 @@ from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 from . import model as m
-from .clausify import ExistsHead, GroundProgram, ProgramRule, TOP_PRED, clausify
+from .clausify import (GroundProgram, ProgramRule, TOP_PRED, clausify,
+                       compile_atom)
 from .errors import BranchLimitExceeded, InconsistentKB
 
 GroundAtom = tuple  # (pred, const, ...)
@@ -76,59 +78,13 @@ class QuerySpec:
                     seen.append(v)
         return tuple(seen)
 
-    @classmethod
-    def checked(cls, key: m.Var, body: Sequence[m.Atom]) -> "QuerySpec":
-        q = cls(key, tuple(body))
-        if not m.is_linked(key, q.body):
-            raise ValueError(f"query body is not linked to ?{key.name}")
-        return q
-
     def __str__(self) -> str:
         return f"Q({self.key}) :- {', '.join(str(a) for a in self.body)}"
 
 
 # ---------------------------------------------------------------------------
-# Rule compilation
+# The chase
 # ---------------------------------------------------------------------------
-
-# Body/head slots: ("c", name) for constants, ("v", index) for variables.
-
-def _compile_atom(atom: m.Atom, varmap: dict[m.Var, int]) -> tuple:
-    slots = []
-    for t in atom.args:
-        if isinstance(t, m.Const):
-            slots.append(("c", t.name))
-        else:
-            if t not in varmap:
-                varmap[t] = len(varmap)
-            slots.append(("v", varmap[t]))
-    return (atom.pred, tuple(slots))
-
-
-class _CompiledRule:
-    __slots__ = ("rid", "body", "heads", "nvars", "index")
-
-    def __init__(self, index: int, rule: ProgramRule):
-        varmap: dict[m.Var, int] = {}
-        self.index = index
-        self.rid = rule.rid
-        self.body = tuple(_compile_atom(a, varmap) for a in rule.body)
-        body_vars = len(varmap)
-        heads = []
-        for h in rule.head:
-            if isinstance(h, ExistsHead):
-                if h.var not in varmap:
-                    varmap[h.var] = len(varmap)
-                heads.append(("exists", h.role.name, h.role.inverse, h.filler,
-                              varmap[h.var]))
-            else:
-                heads.append(("atom", _compile_atom(h, varmap)))
-        if len(varmap) != body_vars:
-            raise ValueError(f"rule {rule.rid} is not range-restricted: "
-                             f"head variables missing from the body")
-        self.heads = tuple(heads)
-        self.nvars = len(varmap)
-
 
 def _instantiate(slots: tuple, binding: list) -> GroundAtom:
     return tuple(s[1] if s[0] == "c" else binding[s[1]] for s in slots)
@@ -239,31 +195,33 @@ class _Chase:
         self.individuals = frozenset(program.individuals) | frozenset(
             t.name for a in facts for t in a.args) | extra_individuals
         self.individuals_sorted = sorted(self.individuals)
-        compiled = [_CompiledRule(i, r) for i, r in enumerate(program.rules)]
-        self.constraints = [r for r in compiled if not r.heads]
-        self.horn = [r for r in compiled
-                     if len(r.heads) == 1 and r.heads[0][0] == "atom"]
-        self.exists = [r for r in compiled
-                       if len(r.heads) == 1 and r.heads[0][0] == "exists"]
-        self.disjunctive = [r for r in compiled if len(r.heads) > 1]
+        # (index, body, heads, nvars) per rule.  Single-head rules fire in
+        # this order each round: constraints, Horn rules, then existential
+        # rules, which see the round's Horn consequences when they look
+        # for a witness.
+        def of_kind(keep) -> list[tuple]:
+            return [(i,) + r.compiled for i, r in enumerate(program.rules)
+                    if keep(r)]
+
+        self.single = (of_kind(ProgramRule.is_constraint)
+                       + of_kind(ProgramRule.is_horn)
+                       + of_kind(lambda r: len(r.head) == 1 and not r.is_horn()))
+        self.disjunctive = of_kind(lambda r: len(r.head) > 1)
         self.skolem_memo: dict[tuple, str] = {}
         self.skolem_depth: dict[str, int] = {}
         self.truncated = False
         base_atoms = [(a.pred,) + tuple(t.name for t in a.args) for a in facts]
         self.root = _Branch(sorted(base_atoms), self.individuals_sorted)
 
-    def _bindings(self, branch: _Branch, rule: _CompiledRule) -> list[tuple]:
-        out = []
-        for b in _match(branch.by_pred, branch.consts, self.individuals,
-                        self.individuals_sorted, rule.body, 0,
-                        [None] * rule.nvars):
-            out.append(tuple(b))
-        return out
+    def _matches(self, branch: _Branch, body: tuple, nvars: int):
+        return _match(branch.by_pred, branch.consts, self.individuals,
+                      self.individuals_sorted, body, 0, [None] * nvars)
 
-    # -- existential heads ----------------------------------------------------
+    # -- heads ----------------------------------------------------------------
 
-    def _has_witness(self, branch: _Branch, role_name: str, inverse: bool,
-                     filler: Optional[str], value: str) -> bool:
+    def _has_witness(self, branch: _Branch, head: tuple, binding: tuple) -> bool:
+        _, role_name, inverse, filler, varidx = head
+        value = binding[varidx]
         pos = 2 if inverse else 1
         for atom in branch.by_pred.get(role_name, ()):
             if atom[pos] != value:
@@ -273,83 +231,76 @@ class _Chase:
                 return True
         return False
 
-    def _witness_atoms(self, key: tuple, head: tuple,
-                       binding: tuple) -> Optional[list[GroundAtom]]:
+    def _head_atoms(self, branch: _Branch, index: int, di: int,
+                    binding: tuple, head: tuple) -> list[GroundAtom]:
+        """The atoms that make disjunct ``di`` of rule ``index`` true under
+        ``binding``: the instantiated atom, or for an existential nothing
+        when a witness exists, else an edge to the skolem constant memoized
+        for (rule, disjunct, binding) plus its filler atom, and nothing once
+        that constant would pass the depth cap."""
+        if head[0] == "atom":
+            pred, slots = head[1]
+            return [(pred,) + _instantiate(slots, binding)]
+        if self._has_witness(branch, head, binding):
+            return []
         _, role_name, inverse, filler, varidx = head
-        value = binding[varidx]
+        key = (index, di, binding)
         skolem = self.skolem_memo.get(key)
         if skolem is None:
             depth = 1 + max((self.skolem_depth.get(c, 0) for c in binding
                              if c is not None), default=0)
             if depth > self.cfg.skolem_depth_cap:
                 self.truncated = True
-                return None
+                return []
             skolem = f"$sk{len(self.skolem_memo)}"
             self.skolem_memo[key] = skolem
             self.skolem_depth[skolem] = depth
+        value = binding[varidx]
         edge = (role_name, skolem, value) if inverse else (role_name, value, skolem)
         atoms = [edge]
         if filler is not None:
             atoms.append((filler, skolem))
         return atoms
 
+    def _option_satisfied(self, branch: _Branch, head: tuple, binding: tuple) -> bool:
+        if head[0] == "atom":
+            pred, slots = head[1]
+            return ((pred,) + _instantiate(slots, binding)) in branch.atoms
+        return self._has_witness(branch, head, binding)
+
     # -- branch saturation ------------------------------------------------------
 
     def _saturate(self, branch: _Branch) -> str:
-        """Returns 'dead', or 'done' once Horn/exists rules reach fixpoint."""
+        """Returns 'dead' once a constraint fires, or 'done' once the
+        single-head rules reach fixpoint."""
         while True:
             changed = False
-            for rule in self.constraints:
-                for _ in _match(branch.by_pred, branch.consts,
-                                self.individuals, self.individuals_sorted,
-                                rule.body, 0, [None] * rule.nvars):
-                    return "dead"
-            for rule in self.horn:
-                head = rule.heads[0][1]
-                pending = [_instantiate(head[1], list(b))
-                           for b in self._bindings(branch, rule)]
-                for atom in pending:
-                    ground = (head[0],) + atom
-                    if branch.add(ground):
-                        changed = True
-            for rule in self.exists:
-                head = rule.heads[0]
-                value_idx = head[4]
-                for b in self._bindings(branch, rule):
-                    value = b[value_idx]
-                    if self._has_witness(branch, head[1], head[2], head[3], value):
-                        continue
-                    atoms = self._witness_atoms((rule.index, b), head, b)
-                    if atoms is None:
-                        continue
-                    for a in atoms:
-                        if branch.add(a):
+            for index, body, heads, nvars in self.single:
+                matches = self._matches(branch, body, nvars)
+                if not heads:
+                    if next(matches, None) is not None:
+                        return "dead"
+                    continue
+                # Bindings are copied out before the branch grows.
+                for b in [tuple(b) for b in matches]:
+                    for atom in self._head_atoms(branch, index, 0, b, heads[0]):
+                        if branch.add(atom):
                             changed = True
             if not changed:
                 return "done"
 
-    def _option_satisfied(self, branch: _Branch, head: tuple, binding: tuple) -> bool:
-        if head[0] == "atom":
-            pred, slots = head[1]
-            return ((pred,) + _instantiate(slots, list(binding))) in branch.atoms
-        return self._has_witness(branch, head[1], head[2], head[3],
-                                 binding[head[4]])
-
     def _split(self, branch: _Branch) -> Optional[list[_Branch]]:
-        """Find the first unsatisfied disjunctive instance and branch on it."""
-        for rule in self.disjunctive:
-            for b in self._bindings(branch, rule):
-                if any(self._option_satisfied(branch, h, b) for h in rule.heads):
+        """Find the first disjunctive instance with no disjunct true and
+        branch on it, one child per disjunct that can be made true.  No
+        witness is created before every disjunct is known to be false."""
+        for index, body, heads, nvars in self.disjunctive:
+            for b in map(tuple, self._matches(branch, body, nvars)):
+                if any(self._option_satisfied(branch, h, b) for h in heads):
                     continue
                 children = []
-                for di, head in enumerate(rule.heads):
-                    if head[0] == "atom":
-                        pred, slots = head[1]
-                        atoms: Optional[list[GroundAtom]] = [
-                            (pred,) + _instantiate(slots, list(b))]
-                    else:
-                        atoms = self._witness_atoms((rule.index, di, b), head, b)
-                    if atoms is None:
+                for di, head in enumerate(heads):
+                    atoms = self._head_atoms(branch, index, di, b, head)
+                    if not atoms:
                         continue
                     child = branch.clone()
                     for a in atoms:
@@ -435,7 +386,7 @@ def answer_query(ms: ModelSet, individuals: frozenset[str],
     if ms.inconsistent:
         raise InconsistentKB("query answering undefined: KB is inconsistent")
     varmap = {q.key: 0}
-    body = [_compile_atom(a, varmap) for a in q.body]
+    body = [compile_atom(a, varmap) for a in q.body]
     # DL-safety made explicit: one O atom per variable, matched after the
     # body.  If ``key`` is not in the body, O(key) ranges it over every
     # individual once the body is satisfied.
@@ -507,20 +458,22 @@ class SemanticContext:
         # equivalence scan cheap: each query is chased once per context.
         self._frozen_memo: dict[tuple, tuple[ModelSet, frozenset[str]]] = {}
 
-    def _freeze(self, q: QuerySpec) -> tuple[list[m.Atom], frozenset[str], str]:
+    def _freeze(self, q: QuerySpec) -> tuple[list[m.Atom], frozenset[str]]:
+        """The body with variable i replaced by the constant ``$qi`` (the
+        key is ``$q0``), and those constants."""
         mapping: dict[m.Var, m.Term] = {}
         for i, v in enumerate(q.variables()):
             mapping[v] = m.Const(f"$q{i}")
         frozen = [a.substitute(mapping) for a in q.body]
         consts = frozenset(c.name for c in mapping.values())
-        return frozen, consts, "$q0"
+        return frozen, consts
 
     def _frozen_chase(self, q: QuerySpec) -> tuple[ModelSet, frozenset[str]]:
         key = canonical_query(q)
         hit = self._frozen_memo.get(key)
         if hit is not None:
             return hit
-        frozen, consts, _ = self._freeze(q)
+        frozen, consts = self._freeze(q)
         ms = chase(self.program, list(self.base_facts) + frozen, self.cfg,
                    extra_individuals=consts)
         individuals = self.program.individuals | consts | frozenset(
@@ -618,10 +571,6 @@ class Taxonomy:
 
     def direct_subroles(self, name: str) -> list[str]:
         return self._direct_subs(self.role_subsumers, name)
-
-    def concept_reduction(self) -> dict[str, list[str]]:
-        return {n: self._direct_subs(self.concept_subsumers, n)
-                for n in self.concept_subsumers}
 
 
 def classify(kb: m.CombinedKB, cfg: ChaseConfig = ChaseConfig()) -> Taxonomy:

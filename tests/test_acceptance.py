@@ -89,11 +89,11 @@ def test_criterion_5_pruning_behaviors(bank_kb, bank_inverse_kb):
     trie = Trie(TrieNode(A(bank_kb, "Account", KEY),
                          trivial_pattern("Account"), Fraction(1), 1, None))
     unsat = Pattern((A(bank_kb, "Account", KEY), A(bank_kb, "CreditCard", KEY)))
-    assert semantic_filter(unsat, ctx, trie, MODE_SEM) == PRUNED_UNSAT
+    assert semantic_filter(unsat, ctx, trie) == PRUNED_UNSAT
     not_sfree = Pattern((A(bank_kb, "Account", KEY),
                          A(bank_kb, "isOwnerOf", X, KEY),
                          A(bank_kb, "Client", X)))
-    assert semantic_filter(not_sfree, ctx, trie, MODE_SEM) == PRUNED_NOT_SFREE
+    assert semantic_filter(not_sfree, ctx, trie) == PRUNED_NOT_SFREE
     exempt = Pattern((A(bank_kb, "Client", KEY),
                       A(bank_kb, "isOwnerOf", KEY, X)))
     assert is_semantically_free(exempt, ctx)

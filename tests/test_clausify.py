@@ -1,8 +1,8 @@
 import pytest
 
 from ontominer import model as m
-from ontominer.clausify import (ExistsHead, NormalInclusion, clausify,
-                                format_program, normalize)
+from ontominer.clausify import (ExistsHead, NormalInclusion, ProgramRule,
+                                clausify, format_program, normalize)
 from ontominer.errors import UnsupportedAxiom
 from ontominer.kbparse import parse_kb
 
@@ -193,3 +193,19 @@ def test_range_restriction_holds(bank_kb):
                 assert h.var in body_vars
             else:
                 assert set(h.variables()) <= body_vars
+
+
+def test_compiled_form_is_invariant_under_renaming_only():
+    def rule(x, y, z):
+        return ProgramRule("r0", (m.Atom("t", (x, z), m.ROLE),),
+                           (m.Atom("t", (x, y), m.ROLE),
+                            m.Atom("t", (y, z), m.ROLE)))
+
+    x, y, z, w = (m.Var(n) for n in ("x", "y", "z", "w"))
+    assert rule(x, y, z).compiled == rule(w, x, y).compiled
+    assert rule(x, y, z).compiled != rule(x, y, y).compiled
+    exists = ProgramRule("r1", (ExistsHead(m.RoleExpr("t"), "A", x),),
+                         (m.Atom("B", (x,), m.CONCEPT),))
+    renamed = ProgramRule("r1", (ExistsHead(m.RoleExpr("t"), "A", w),),
+                          (m.Atom("B", (w,), m.CONCEPT),))
+    assert exists.compiled == renamed.compiled

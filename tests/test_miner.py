@@ -36,17 +36,17 @@ def fresh_trie(pattern: Pattern) -> tuple[Trie, TrieNode]:
 # -- refinement ----------------------------------------------------------------
 
 def test_root_children_share_key(bank_kb):
-    trie, root = fresh_trie(trivial_pattern("Client"))
+    _, root = fresh_trie(trivial_pattern("Client"))
     bias = [bank_kb.predicate("isOwnerOf")]
-    atoms = refine_candidates(root, trie, bias)
+    atoms = refine_candidates(root, bias)
     assert atoms == [A(bank_kb, "isOwnerOf", KEY, X1),
                      A(bank_kb, "isOwnerOf", X1, KEY)]
 
 
 def test_reference_atom_not_duplicated(bank_kb):
-    trie, root = fresh_trie(trivial_pattern("Client"))
+    _, root = fresh_trie(trivial_pattern("Client"))
     bias = [bank_kb.predicate("Client")]
-    assert refine_candidates(root, trie, bias) == []
+    assert refine_candidates(root, bias) == []
 
 
 def test_dependent_atoms_can_keep_shared_last_atom_variables(bank_kb):
@@ -58,7 +58,7 @@ def test_dependent_atoms_can_keep_shared_last_atom_variables(bank_kb):
     node = node_for(pattern, root)
     trie.register(root, node)
     bias = [bank_kb.predicate("p_familyAccount")]
-    atoms = refine_candidates(node, trie, bias)
+    atoms = refine_candidates(node, bias)
     assert A(bank_kb, "p_familyAccount", X1, KEY, X2) in atoms
     # but no atom may touch only old variables
     for atom in atoms:
@@ -71,7 +71,7 @@ def test_right_brother_copy_renames_new_variables(bank_kb):
     right = node_for(root.pattern.with_atom(A(bank_kb, "relative", KEY, X1)), root)
     trie.register(root, left)
     trie.register(root, right)
-    atoms = refine_candidates(left, trie, [])
+    atoms = refine_candidates(left, [])
     assert atoms == [A(bank_kb, "relative", KEY, X2)]
 
 
@@ -82,7 +82,7 @@ def test_leaf_without_new_variables_or_brothers(bank_kb):
     leaf_pattern = mid.pattern.with_atom(A(bank_kb, "Account", X1))
     leaf = node_for(leaf_pattern, mid)
     trie.register(mid, leaf)
-    assert refine_candidates(leaf, trie, [bank_kb.predicate("Account")]) == []
+    assert refine_candidates(leaf, [bank_kb.predicate("Account")]) == []
 
 
 # -- semantic filter -------------------------------------------------------------
@@ -95,20 +95,20 @@ def bank_ctx(bank_kb):
 def test_filter_unsatisfiable(bank_kb, bank_ctx):
     trie, _ = fresh_trie(trivial_pattern("Account"))
     p = Pattern((A(bank_kb, "Account", KEY), A(bank_kb, "CreditCard", KEY)))
-    assert semantic_filter(p, bank_ctx, trie, MODE_SEM) == PRUNED_UNSAT
+    assert semantic_filter(p, bank_ctx, trie) == PRUNED_UNSAT
 
 
 def test_filter_not_s_free(bank_kb, bank_ctx):
     trie, _ = fresh_trie(trivial_pattern("Account"))
     p = Pattern((A(bank_kb, "Account", KEY), A(bank_kb, "isOwnerOf", X1, KEY),
                  A(bank_kb, "Client", X1)))
-    assert semantic_filter(p, bank_ctx, trie, MODE_SEM) == PRUNED_NOT_SFREE
+    assert semantic_filter(p, bank_ctx, trie) == PRUNED_NOT_SFREE
 
 
 def test_filter_reference_atom_exempt(bank_kb, bank_ctx):
     trie, _ = fresh_trie(trivial_pattern("Client"))
     p = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "isOwnerOf", KEY, X1)))
-    assert semantic_filter(p, bank_ctx, trie, MODE_SEM) == ACCEPTED
+    assert semantic_filter(p, bank_ctx, trie) == ACCEPTED
     assert is_semantically_free(p, bank_ctx)
 
 
@@ -117,7 +117,7 @@ def test_filter_equivalent_against_trie(bank_kb, bank_ctx):
     kept = node_for(root.pattern.with_atom(A(bank_kb, "relative", KEY, X1)), root)
     trie.register(root, kept)
     p = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "relative", X1, KEY)))
-    assert semantic_filter(p, bank_ctx, trie, MODE_SEM) == PRUNED_EQUIVALENT
+    assert semantic_filter(p, bank_ctx, trie) == PRUNED_EQUIVALENT
 
 
 REFLEXIVE = """
@@ -141,7 +141,7 @@ def test_signature_keeps_only_key_positions():
     assert ctx.signature(loose.query()) == ctx.signature(tight.query())
     trie, root = fresh_trie(trivial_pattern("C"))
     trie.register(root, node_for(loose, root))
-    assert semantic_filter(tight, ctx, trie, MODE_SEM) == PRUNED_EQUIVALENT
+    assert semantic_filter(tight, ctx, trie) == PRUNED_EQUIVALENT
 
 
 # -- support ----------------------------------------------------------------------
@@ -328,7 +328,7 @@ def test_taxonomy_refinement_draws_roots_only():
     node = node_for(pattern, root)
     trie.register(root, node)
     bias = [kb.predicates[n] for n in ("Person", "Vehicle", "Car", "Boat", "owns")]
-    atoms = refine_with_taxonomy(node, trie, taxonomy, bias)
+    atoms = refine_with_taxonomy(node, taxonomy, bias)
     names = {a.pred for a in atoms if a.kind == m.CONCEPT}
     assert "Vehicle" in names and "Person" in names
     assert "Car" not in names and "Boat" not in names
@@ -401,10 +401,10 @@ def test_flat_taxonomy_matches_plain_refinement(bank_kb):
     kb = parse_kb("(concept A)\n(concept B)\n(role r)\n"
                   "(instance A a)\n(instance B b)\n(related r a b)\n")
     taxonomy = classify(kb)
-    trie, root = fresh_trie(trivial_pattern("A"))
+    _, root = fresh_trie(trivial_pattern("A"))
     bias = list(kb.predicates.values())
-    assert refine_with_taxonomy(root, trie, taxonomy, bias) == \
-        refine_candidates(root, trie, bias)
+    assert refine_with_taxonomy(root, taxonomy, bias) == \
+        refine_candidates(root, bias)
 
 
 def test_figure_bias_mining_snapshot(bank_kb):

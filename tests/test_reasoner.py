@@ -5,7 +5,8 @@ import pytest
 from genkb import random_program, usable_kbs
 from oracles import brute_force_certain_answers, brute_force_minimal_models
 from ontominer import model as m
-from ontominer.clausify import GroundProgram, ProgramRule, clausify
+from ontominer.clausify import (ExistsHead, GroundProgram, ProgramRule,
+                                clausify)
 from ontominer.errors import BranchLimitExceeded, InconsistentKB
 from ontominer.kbparse import parse_kb
 from ontominer.miner import MODE_NOSEM, MiningConfig, mine
@@ -125,6 +126,40 @@ def test_depth_cap_truncates_infinite_chain():
     ms = chase(clausify(kb), kb.abox, ChaseConfig(skolem_depth_cap=3))
     assert ms.truncated
     assert ms.models == (frozenset({("Person", "adam")}),)
+
+
+EXISTENTIAL_DISJUNCT = """
+(subclass A (or B (some r C)))
+(subclass C D)
+(subclass (some r D) E)
+(instance A a)
+"""
+
+
+@pytest.mark.parametrize("cap, models, truncated", [
+    (ChaseConfig().skolem_depth_cap, {frozenset({("A", "a"), ("B", "a")}),
+         frozenset({("A", "a"), ("E", "a")})}, False),
+    (0, {frozenset({("A", "a"), ("B", "a")})}, True),
+], ids=["default-cap", "cap-0"])
+def test_existential_disjunct_splits(cap, models, truncated):
+    """One child per disjunct, the existential one holding a skolem witness
+    whose consequences reach the named constant; at the cap that disjunct
+    is dropped and the chase is marked truncated."""
+    kb = parse_kb(EXISTENTIAL_DISJUNCT)
+    ms = chase(clausify(kb), kb.abox, ChaseConfig(skolem_depth_cap=cap))
+    assert set(ms.models) == models
+    assert ms.truncated == truncated
+
+
+@pytest.mark.parametrize("head", [
+    m.Atom("p", (X, Y), m.NONDL),
+    ExistsHead(m.RoleExpr("r"), None, Y),
+], ids=["atom", "exists"])
+def test_chase_rejects_rule_not_range_restricted(head):
+    rule = ProgramRule("r0", (head,), (m.Atom("q", (X,), m.NONDL),))
+    program = GroundProgram((rule,), frozenset({"a"}))
+    with pytest.raises(ValueError, match="not range-restricted"):
+        chase(program, [m.Atom("q", (m.Const("a"),), m.NONDL)])
 
 
 def test_branch_limit_exceeded():
