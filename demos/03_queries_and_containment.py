@@ -1,10 +1,10 @@
 """Conjunctive DL-safe queries: answers, satisfiability, and containment.
 
-Queries bind variables to named individuals only.  Answering happens
-against the full KB; the semantic decision procedures (is this query
-satisfiable at all? does one query contain another?) run against the
-intensional part alone, by freezing the query variables to fresh named
-constants and chasing.
+Queries bind variables to named individuals only: those the chase used,
+which the model set carries.  Answering happens against the full KB; the
+semantic decision procedures (is this query satisfiable at all? does one
+query contain another?) run against the intensional part alone, by
+freezing the query variables to fresh named constants and chasing.
 """
 
 from pathlib import Path
@@ -39,7 +39,7 @@ queries = {
               atom("CreditCard", x))),
 }
 for label, q in queries.items():
-    answers = sorted(answer_query(models, kb.individuals, q))
+    answers = sorted(answer_query(models, q))
     print(f"{label:28s} -> {answers}")
 
 ctx = SemanticContext(kb.without_abox())

@@ -387,19 +387,14 @@ def normalize(tbox) -> tuple[list[NormalizedForm], dict[str, m.Predicate]]:
     """Rewrite TBox axioms into normalized inclusions plus role forms.
 
     Returns the normalized sequence and the auxiliary concept registry.
-    Tautological inclusions are dropped; the output order is deterministic.
+    Tautological inclusions are dropped; duplicates are kept, since equal
+    forms emit equal rules and ``_Emitter.emit`` drops those.  The output
+    order is deterministic.
     """
     n = _Normalizer()
     for ax in tbox:
         n.add_axiom(ax)
-    seen = set()
-    unique: list[NormalizedForm] = []
-    for f in n.out:
-        key = repr(f)
-        if key not in seen:
-            seen.add(key)
-            unique.append(f)
-    return unique, n.aux_predicates
+    return n.out, n.aux_predicates
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class RunConfig:
     max_branches: int = 100000
     dump_program: Optional[str] = None
     dump_models: Optional[str] = None
-    compare_modes: tuple[str, ...] = (mining.MODE_SEM, mining.MODE_NOSEM)
 
 
 def _render_term(t: m.Term) -> str:
@@ -162,15 +161,18 @@ def run(cfg: RunConfig) -> int:
 
 @_exit_code_on_error
 def compare_modes(cfg: RunConfig) -> int:
-    """Run the requested settings on one KB and report the per-depth
-    candidate/frequent reductions of the non-semantic run over the
-    semantic one."""
+    """Run sem and nosem, plus sem-tax when that is the requested mode, on
+    one KB and report the per-depth candidate/frequent reductions of the
+    non-semantic run over the semantic one."""
     kb = _load(cfg)
     chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    modes = [mining.MODE_SEM, mining.MODE_NOSEM]
+    if cfg.mode == mining.MODE_SEM_TAX:
+        modes.append(mining.MODE_SEM_TAX)
     results = {}
-    for mode in cfg.compare_modes:
+    for mode in modes:
         results[mode] = mining.mine(kb, _mining_config(cfg, mode), chase_cfg)
     depths = sorted({d for r in results.values() for d in r.stats.per_depth})
     header = ["depth"]
@@ -180,18 +182,14 @@ def compare_modes(cfg: RunConfig) -> int:
     header += ["reduction_cand", "reduction_freq"]
     lines = [",".join(header)]
     for depth in depths:
+        at = {mode: r.stats.per_depth.get(depth, mining.Counts())
+              for mode, r in results.items()}
         row = [str(depth)]
-        for mode in results:
-            c = results[mode].stats.per_depth.get(depth, mining.Counts())
+        for c in at.values():
             row += [str(c.cand), str(c.freq)]
-        sem = results.get(mining.MODE_SEM)
-        nosem = results.get(mining.MODE_NOSEM)
         for attr in ("cand", "freq"):
-            if sem is None or nosem is None:
-                row.append("")
-                continue
-            s = getattr(sem.stats.per_depth.get(depth, mining.Counts()), attr)
-            n = getattr(nosem.stats.per_depth.get(depth, mining.Counts()), attr)
+            s = getattr(at[mining.MODE_SEM], attr)
+            n = getattr(at[mining.MODE_NOSEM], attr)
             row.append(f"{n / s:.2f}" if s else "")
         lines.append(",".join(row))
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -270,9 +268,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     if args.command == "mine":
         return run(cfg)
-    if args.mode == mining.MODE_SEM_TAX:
-        cfg.compare_modes = (mining.MODE_SEM, mining.MODE_NOSEM,
-                             mining.MODE_SEM_TAX)
     return compare_modes(cfg)
 
 

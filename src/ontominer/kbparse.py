@@ -400,30 +400,6 @@ def load_kb(path: str, covering_complement: bool = False) -> m.CombinedKB:
 # Writer
 # ---------------------------------------------------------------------------
 
-def _concept_str(c: m.ConceptExpr) -> str:
-    if isinstance(c, m.Atomic):
-        return c.name
-    if isinstance(c, m.Top):
-        return "Thing"
-    if isinstance(c, m.Bottom):
-        return "Nothing"
-    if isinstance(c, m.And):
-        return f"(and {_concept_str(c.left)} {_concept_str(c.right)})"
-    if isinstance(c, m.Or):
-        return f"(or {_concept_str(c.left)} {_concept_str(c.right)})"
-    if isinstance(c, m.Some):
-        return f"(some {_role_str(c.role)} {_concept_str(c.filler)})"
-    if isinstance(c, m.All):
-        return f"(all {_role_str(c.role)} {_concept_str(c.filler)})"
-    if isinstance(c, m.Not):
-        return f"(not {c.name})"
-    raise TypeError(f"not a concept expression: {c!r}")
-
-
-def _role_str(r: m.RoleExpr) -> str:
-    return f"(inv {r.name})" if r.inverse else r.name
-
-
 def _atom_str(a: m.Atom) -> str:
     args = " ".join(("?" + t.name) if isinstance(t, m.Var) else t.name
                     for t in a.args)
@@ -432,25 +408,25 @@ def _atom_str(a: m.Atom) -> str:
 
 def _axiom_str(ax: m.TBoxAxiom) -> str:
     if isinstance(ax, m.SubClass):
-        return f"(subclass {_concept_str(ax.sub)} {_concept_str(ax.sup)})"
+        return f"(subclass {ax.sub} {ax.sup})"
     if isinstance(ax, m.EquivClass):
-        return f"(equivalent {_concept_str(ax.left)} {_concept_str(ax.right)})"
+        return f"(equivalent {ax.left} {ax.right})"
     if isinstance(ax, m.Disjoint):
         return f"(disjoint {ax.left} {ax.right})"
     if isinstance(ax, m.SubRole):
-        return f"(subrole {_role_str(ax.sub)} {_role_str(ax.sup)})"
+        return f"(subrole {ax.sub} {ax.sup})"
     if isinstance(ax, m.EquivRole):
-        return f"(equivrole {_role_str(ax.left)} {_role_str(ax.right)})"
+        return f"(equivrole {ax.left} {ax.right})"
     if isinstance(ax, m.Transitive):
         return f"(transitive {ax.name})"
     if isinstance(ax, m.Functional):
-        return f"(functional {_role_str(ax.role)})"
+        return f"(functional {ax.role})"
     if isinstance(ax, m.Symmetric):
         return f"(symmetric {ax.name})"
     if isinstance(ax, m.Domain):
-        return f"(domain {ax.role} {_concept_str(ax.concept)})"
+        return f"(domain {ax.role} {ax.concept})"
     if isinstance(ax, m.Range):
-        return f"(range {ax.role} {_concept_str(ax.concept)})"
+        return f"(range {ax.role} {ax.concept})"
     raise TypeError(f"not an axiom: {ax!r}")
 
 

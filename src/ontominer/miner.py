@@ -18,15 +18,19 @@ Children of a node arise two ways:
      fresh.  This makes every atom subset reachable in exactly one
      canonical permutation.
 
-In ``sem`` mode each candidate must pass, in order: satisfiability against
+Every candidate takes one path in every mode: it gets a verdict, its
+support is evaluated only if the verdict is ``accepted``, and
+``Counts.record`` counts it from the verdict and the support.  In ``sem``
+mode the verdict comes from three tests, in order: satisfiability against
 the intensional KB, semantic freeness (no non-reference atom is deducible
 from the rest), and non-equivalence to any frequent pattern already in the
 trie, tested only against the nodes that share its frozen-chase signature
-(``SemanticContext.signature``).  ``nosem`` skips all three.  ``sem-tax`` additionally drives concept
-and role candidates top-down through the entailed taxonomy: only root
-predicates are drawn for an unconstrained variable, a frequent atom spawns
-its direct specializations as sibling candidates, and an infrequent one
-suppresses them (support is monotone, so nothing frequent is lost).
+(``SemanticContext.signature``).  ``nosem`` skips all three and accepts
+every candidate.  ``sem-tax`` additionally drives concept and role
+candidates top-down through the entailed taxonomy: only root predicates
+are drawn for an unconstrained variable, a candidate spawns its direct
+specializations as sibling candidates unless it is unsatisfiable or
+infrequent (support is monotone, so nothing frequent is lost).
 
 Ordering is deterministic everywhere: bias order is KB declaration order,
 dependent atoms are ordered by predicate then placement, and counters,
@@ -93,6 +97,12 @@ def trivial_pattern(reference_concept: str) -> Pattern:
     return Pattern((m.Atom(reference_concept, (KEY,), m.CONCEPT),))
 
 
+# How many of the semantic tests (satisfiability, semantic freeness,
+# non-equivalence) a candidate with each verdict passed.
+_TESTS_PASSED = {PRUNED_UNSAT: 0, PRUNED_NOT_SFREE: 1, PRUNED_EQUIVALENT: 2,
+                 ACCEPTED: 3}
+
+
 @dataclass
 class Counts:
     gen: int = 0
@@ -100,6 +110,15 @@ class Counts:
     sfree: int = 0
     cand: int = 0
     freq: int = 0
+
+    def record(self, verdict: str, frequent: bool) -> None:
+        """Count one generated candidate by its verdict and its support."""
+        passed = _TESTS_PASSED[verdict]
+        self.gen += 1
+        self.sat += passed >= 1
+        self.sfree += passed >= 2
+        self.cand += passed >= 3
+        self.freq += frequent
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.gen, self.sat, self.sfree, self.cand, self.freq)
@@ -209,18 +228,16 @@ class MineResult:
 # ---------------------------------------------------------------------------
 
 class SupportEvaluator:
-    def __init__(self, ms: ModelSet, individuals: frozenset[str],
-                 reference_concept: str):
+    def __init__(self, ms: ModelSet, reference_concept: str):
         self.ms = ms
-        self.individuals = individuals
         ref = QuerySpec(KEY, (m.Atom(reference_concept, (KEY,), m.CONCEPT),))
-        self.reference_extension = answer_query(ms, individuals, ref)
+        self.reference_extension = answer_query(ms, ref)
         if not self.reference_extension:
             raise EmptyReferenceConcept(
                 f"concept '{reference_concept}' has no cautious instances")
 
     def answers(self, pattern: Pattern) -> frozenset[str]:
-        return answer_query(self.ms, self.individuals, pattern.query())
+        return answer_query(self.ms, pattern.query())
 
     def support(self, pattern: Pattern) -> Fraction:
         return Fraction(len(self.answers(pattern)),
@@ -233,7 +250,7 @@ def support(kb: m.CombinedKB, q: Pattern,
     ms = chase(clausify(kb), kb.abox, cfg)
     if ms.inconsistent:
         raise InconsistentKB("support undefined on an inconsistent KB")
-    return SupportEvaluator(ms, kb.individuals, q.atoms[0].pred).support(q)
+    return SupportEvaluator(ms, q.atoms[0].pred).support(q)
 
 
 def default_bias(kb: m.CombinedKB, ms: ModelSet) -> list[m.Predicate]:
@@ -292,9 +309,9 @@ def _dependent_atoms(pattern: Pattern, bias: Sequence[m.Predicate]) -> list[m.At
     return out
 
 
-def _copy_right_brother(pattern: Pattern, node: TrieNode,
-                        brother: TrieNode) -> Optional[m.Atom]:
-    parent_vars = {v for a in node.pattern.atoms[:-1] for v in a.variables()}
+def _copy_right_brother(node: TrieNode, brother: TrieNode) -> Optional[m.Atom]:
+    pattern = node.pattern
+    parent_vars = {v for a in pattern.atoms[:-1] for v in a.variables()}
     mapping: dict[m.Var, m.Term] = {}
     nxt = pattern.next_var_index()
     args: list[m.Term] = []
@@ -316,7 +333,7 @@ def refine_candidates(node: TrieNode,
     (bias order, then placement order), then right-brother copies."""
     out = _dependent_atoms(node.pattern, bias)
     for brother in node.right_brothers():
-        atom = _copy_right_brother(node.pattern, node, brother)
+        atom = _copy_right_brother(node, brother)
         if atom is not None:
             out.append(atom)
     return out
@@ -324,30 +341,24 @@ def refine_candidates(node: TrieNode,
 
 def refine_with_taxonomy(node: TrieNode, taxonomy: Taxonomy,
                          bias: Sequence[m.Predicate]) -> list[m.Atom]:
-    """Taxonomy-guided variant: concept and role dependent atoms are drawn
-    from taxonomy roots only (deeper predicates are spawned as siblings once
-    their parent atom proves frequent, see expand_node); the root node also
-    offers the direct specializations of the reference concept."""
-    by_name = {p.name: p for p in bias}
+    """``refine_candidates`` with the bias narrowed to the taxonomy roots
+    for concepts and roles (deeper predicates are spawned as siblings once
+    their parent atom proves frequent, see ``_Miner.expand_node``).  The
+    root, which has no right brothers, also offers the direct
+    specializations of the reference concept, after its dependent atoms:
+    the reference atom is frequent by definition."""
     c_roots = set(taxonomy.concept_roots())
     r_roots = set(taxonomy.role_roots())
     narrowed = [p for p in bias
                 if (p.kind == m.CONCEPT and p.name in c_roots)
                 or (p.kind == m.ROLE and p.name in r_roots)
                 or p.kind == m.NONDL]
-    out = _dependent_atoms(node.pattern, narrowed)
+    out = refine_candidates(node, narrowed)
     if node.parent is None:
-        # The reference atom is frequent by definition, so its direct
-        # specializations are offered right away.
-        for name in taxonomy.direct_subconcepts(node.atom.pred):
-            if name in by_name:
-                atom = m.Atom(name, (KEY,), m.CONCEPT)
-                if atom not in node.pattern.atoms:
-                    out.append(atom)
-    for brother in node.right_brothers():
-        atom = _copy_right_brother(node.pattern, node, brother)
-        if atom is not None:
-            out.append(atom)
+        names = {p.name for p in bias}
+        out += [m.Atom(name, (KEY,), m.CONCEPT)
+                for name in taxonomy.direct_subconcepts(node.atom.pred)
+                if name in names]
     return out
 
 
@@ -388,23 +399,18 @@ def semantic_filter(pattern: Pattern, ctx: SemanticContext, trie: Trie) -> str:
 class _Miner:
     def __init__(self, kb: m.CombinedKB, cfg: MiningConfig,
                  chase_cfg: ChaseConfig):
-        self.kb = kb
         self.cfg = cfg
-        self.chase_cfg = chase_cfg
-        program = clausify(kb)
-        ms = chase(program, kb.abox, chase_cfg)
+        ms = chase(clausify(kb), kb.abox, chase_cfg)
         if ms.inconsistent:
             raise InconsistentKB("the combined knowledge base is inconsistent")
         if ms.truncated:
             log.warning("chase hit the skolem depth cap; the model set and "
                         "the mined patterns may be incomplete")
-        self.ms = ms
         pred = kb.predicates.get(cfg.reference_concept)
         if pred is None or pred.kind != m.CONCEPT:
             raise EmptyReferenceConcept(
                 f"'{cfg.reference_concept}' is not a known concept")
-        self.evaluator = SupportEvaluator(ms, kb.individuals,
-                                          cfg.reference_concept)
+        self.evaluator = SupportEvaluator(ms, cfg.reference_concept)
         kb_cp = kb.keeping_nondl_facts() if cfg.cp_keep_nondl else kb.without_abox()
         self.ctx = SemanticContext(kb_cp, chase_cfg)
         if cfg.bias is None:
@@ -414,6 +420,7 @@ class _Miner:
             if unknown:
                 raise ValueError(f"unknown predicates in bias: {', '.join(unknown)}")
             self.bias = [kb.predicates[n] for n in cfg.bias]
+        self.bias_names = {p.name for p in self.bias}
         self.taxonomy = classify(kb, chase_cfg) if cfg.mode == MODE_SEM_TAX else None
         self.stats = RunStats()
 
@@ -421,13 +428,12 @@ class _Miner:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
         root = TrieNode(root_pattern.atoms[0], root_pattern, Fraction(1), 1, None)
         trie = Trie(root)
-        self.stats.per_depth[1] = Counts(gen=1, sat=1, sfree=1, cand=1, freq=1)
+        self.stats.at(1).record(ACCEPTED, True)  # the reference pattern
         self.expand_node(root, trie)
         patterns = [(n.pattern, n.support) for n in trie.nodes()]
         return MineResult(trie, patterns, self.stats)
 
-    def _spawned_siblings(self, atom: m.Atom,
-                          bias_names: dict[str, m.Predicate]) -> list[m.Atom]:
+    def _spawned_siblings(self, atom: m.Atom) -> list[m.Atom]:
         assert self.taxonomy is not None
         if atom.kind == m.CONCEPT:
             subs = self.taxonomy.direct_subconcepts(atom.pred)
@@ -436,7 +442,7 @@ class _Miner:
         else:
             return []
         return [m.Atom(name, atom.args, atom.kind)
-                for name in subs if name in bias_names]
+                for name in subs if name in self.bias_names]
 
     def expand_node(self, node: TrieNode, trie: Trie) -> None:
         if node.depth >= self.cfg.max_depth:
@@ -446,7 +452,6 @@ class _Miner:
             worklist = refine_with_taxonomy(node, self.taxonomy, self.bias)
         else:
             worklist = refine_candidates(node, self.bias)
-        bias_names = {p.name: p for p in self.bias}
         counts = self.stats.at(node.depth + 1)
         seen: set[m.Atom] = set()
         i = 0
@@ -457,41 +462,26 @@ class _Miner:
                 continue
             seen.add(atom)
             child_pattern = node.pattern.with_atom(atom)
-            counts.gen += 1
-            node.expansion.gen += 1
             if mode == MODE_NOSEM:
-                counts.sat += 1
-                counts.sfree += 1
-                node.expansion.sat += 1
-                node.expansion.sfree += 1
+                verdict = ACCEPTED
             else:
                 verdict = semantic_filter(child_pattern, self.ctx, trie)
-                if verdict == PRUNED_UNSAT:
-                    continue
-                counts.sat += 1
-                node.expansion.sat += 1
-                if verdict == PRUNED_NOT_SFREE:
-                    if mode == MODE_SEM_TAX:
-                        worklist.extend(self._spawned_siblings(atom, bias_names))
-                    continue
-                counts.sfree += 1
-                node.expansion.sfree += 1
-                if verdict == PRUNED_EQUIVALENT:
-                    if mode == MODE_SEM_TAX:
-                        worklist.extend(self._spawned_siblings(atom, bias_names))
-                    continue
-            counts.cand += 1
-            node.expansion.cand += 1
-            child_support = self.evaluator.support(child_pattern)
-            if child_support < self.cfg.minsup:
-                continue  # infrequent: suppresses taxonomy specializations too
-            counts.freq += 1
-            node.expansion.freq += 1
-            child = TrieNode(atom, child_pattern, child_support,
-                             node.depth + 1, node)
-            trie.register(node, child)
-            if mode == MODE_SEM_TAX:
-                worklist.extend(self._spawned_siblings(atom, bias_names))
+            frequent = False
+            if verdict == ACCEPTED:
+                child_support = self.evaluator.support(child_pattern)
+                frequent = child_support >= self.cfg.minsup
+                if frequent:
+                    trie.register(node, TrieNode(atom, child_pattern,
+                                                 child_support,
+                                                 node.depth + 1, node))
+            counts.record(verdict, frequent)
+            node.expansion.record(verdict, frequent)
+            # An unsatisfiable atom has no satisfiable specialization, and an
+            # infrequent one no frequent specialization (support is
+            # monotone); every other atom spawns its direct specializations.
+            if mode == MODE_SEM_TAX and (frequent or verdict in (
+                    PRUNED_NOT_SFREE, PRUNED_EQUIVALENT)):
+                worklist.extend(self._spawned_siblings(atom))
         for child in node.children:
             self.expand_node(child, trie)
 

@@ -54,9 +54,12 @@ class ChaseConfig:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """Subset-minimal consistent models restricted to named constants."""
+    """Subset-minimal consistent models restricted to named constants;
+    ``individuals`` is the extension of ``O``: the named constants the
+    chase used, sorted."""
 
     models: tuple[frozenset, ...]
+    individuals: tuple[str, ...]
     inconsistent: bool = False
     truncated: bool = False
 
@@ -194,7 +197,7 @@ class _Chase:
         self.cfg = cfg
         self.individuals = frozenset(program.individuals) | frozenset(
             t.name for a in facts for t in a.args) | extra_individuals
-        self.individuals_sorted = sorted(self.individuals)
+        self.individuals_sorted = tuple(sorted(self.individuals))
         # (index, body, heads, nvars) per rule.  Single-head rules fire in
         # this order each round: constraints, Horn rules, then existential
         # rules, which see the round's Horn consequences when they look
@@ -327,8 +330,8 @@ class _Chase:
                 raise BranchLimitExceeded(
                     f"more than {self.cfg.max_branches} live chase branches")
         models = self._minimize(finished)
-        return ModelSet(models, inconsistent=not finished,
-                        truncated=self.truncated)
+        return ModelSet(models, self.individuals_sorted,
+                        inconsistent=not finished, truncated=self.truncated)
 
     def _minimize(self, branches: list[_Branch]) -> tuple[frozenset, ...]:
         projected = []
@@ -355,7 +358,8 @@ def chase(program: GroundProgram, facts: Sequence[m.Atom],
     Named individuals are the program's registry plus every constant in
     ``facts`` plus ``extra_individuals`` (used by the freeze-and-ask tests,
     whose skolem substitution can ground a variable that occurs in no body
-    atom); models contain only atoms over named individuals.
+    atom); models contain only atoms over named individuals, and the
+    model set carries them as ``individuals``.
     """
     for a in facts:
         if not a.is_ground():
@@ -379,10 +383,9 @@ def cautious_entails(ms: ModelSet, atom: m.Atom) -> bool:
 # Query answering
 # ---------------------------------------------------------------------------
 
-def answer_query(ms: ModelSet, individuals: frozenset[str],
-                 q: QuerySpec) -> frozenset[str]:
+def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
     """Certain answers: individuals that can ground ``key`` in every model,
-    with all variables bound to named individuals."""
+    with all variables bound to the named individuals of ``ms``."""
     if ms.inconsistent:
         raise InconsistentKB("query answering undefined: KB is inconsistent")
     varmap = {q.key: 0}
@@ -392,7 +395,7 @@ def answer_query(ms: ModelSet, individuals: frozenset[str],
     # individual once the body is satisfied.
     body += [(m.O_PRED, (("v", i),)) for i in range(len(varmap))]
     body = tuple(body)
-    individuals_sorted = sorted(individuals)
+    individuals = frozenset(ms.individuals)
     result: Optional[frozenset[str]] = None
     for model in ms.models:
         index: dict[str, list] = {}
@@ -400,7 +403,7 @@ def answer_query(ms: ModelSet, individuals: frozenset[str],
             index.setdefault(atom[0], []).append(atom)
         # Models hold no $top atoms, and query bodies none either.
         answers = frozenset(b[0] for b in _match(
-            index, (), individuals, individuals_sorted, body, 0,
+            index, (), individuals, ms.individuals, body, 0,
             [None] * len(varmap)))
         result = answers if result is None else (result & answers)
         if not result:
@@ -440,23 +443,22 @@ def canonical_query(q: QuerySpec) -> tuple:
 # ---------------------------------------------------------------------------
 
 class SemanticContext:
-    """The clausified intensional program plus memo tables for containment.
+    """The clausified intensional program plus a memo of frozen chases.
 
-    Containment results are memoized per context; the cache is not locked,
-    so share a context across threads only for reading after warm-up, or
-    confine it to one thread (the miner is single-threaded).
+    The memo is per context and not locked, so share a context across
+    threads only for reading after warm-up, or confine it to one thread
+    (the miner is single-threaded).
     """
 
     def __init__(self, kb_cp: m.CombinedKB, cfg: ChaseConfig = ChaseConfig()):
         self.program = clausify(kb_cp)
         self.base_facts = tuple(kb_cp.abox)
         self.cfg = cfg
-        self._subsumes_memo: dict[tuple, bool] = {}
         # Chases of frozen queries, keyed by canonical form.  The chase of a
         # frozen query is what both the satisfiability test and the specific
         # side of every containment test need, so caching it makes the
         # equivalence scan cheap: each query is chased once per context.
-        self._frozen_memo: dict[tuple, tuple[ModelSet, frozenset[str]]] = {}
+        self._frozen_memo: dict[tuple, ModelSet] = {}
 
     def _freeze(self, q: QuerySpec) -> tuple[list[m.Atom], frozenset[str]]:
         """The body with variable i replaced by the constant ``$qi`` (the
@@ -468,38 +470,28 @@ class SemanticContext:
         consts = frozenset(c.name for c in mapping.values())
         return frozen, consts
 
-    def _frozen_chase(self, q: QuerySpec) -> tuple[ModelSet, frozenset[str]]:
+    def _frozen_chase(self, q: QuerySpec) -> ModelSet:
         key = canonical_query(q)
-        hit = self._frozen_memo.get(key)
-        if hit is not None:
-            return hit
-        frozen, consts = self._freeze(q)
-        ms = chase(self.program, list(self.base_facts) + frozen, self.cfg,
-                   extra_individuals=consts)
-        individuals = self.program.individuals | consts | frozenset(
-            t.name for a in self.base_facts for t in a.args)
-        self._frozen_memo[key] = (ms, individuals)
-        return ms, individuals
+        ms = self._frozen_memo.get(key)
+        if ms is None:
+            frozen, consts = self._freeze(q)
+            ms = chase(self.program, list(self.base_facts) + frozen, self.cfg,
+                       extra_individuals=consts)
+            self._frozen_memo[key] = ms
+        return ms
 
     def satisfiable(self, q: QuerySpec) -> bool:
-        ms, _ = self._frozen_chase(q)
-        return not ms.inconsistent
+        return not self._frozen_chase(q).inconsistent
 
     def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         """True iff q1 is at least as general as q2 (q1 contains q2)."""
-        c1, c2 = canonical_query(q1), canonical_query(q2)
-        if c1 == c2:
+        if canonical_query(q1) == canonical_query(q2):
             return True
-        hit = self._subsumes_memo.get((c1, c2))
-        if hit is not None:
-            return hit
-        ms, individuals = self._frozen_chase(q2)
+        ms = self._frozen_chase(q2)
         if ms.inconsistent:
             raise InconsistentKB(
                 "frozen query body is inconsistent with the terminology")
-        result = "$q0" in answer_query(ms, individuals, q1)
-        self._subsumes_memo[(c1, c2)] = result
-        return result
+        return "$q0" in answer_query(ms, q1)
 
     def equivalent(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         c1, c2 = canonical_query(q1), canonical_query(q2)
@@ -517,7 +509,7 @@ class SemanticContext:
         not hold the key are left out, since that mapping may merge
         variables into the key.  None when the chase is truncated (or
         inconsistent), where the argument does not hold."""
-        ms, _ = self._frozen_chase(q)
+        ms = self._frozen_chase(q)
         if ms.truncated or ms.inconsistent:
             return None
         common: Optional[set] = None

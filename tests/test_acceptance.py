@@ -38,8 +38,8 @@ def test_criterion_1_worked_example(bank_kb):
     started = time.perf_counter()
     ms = chase(clausify(bank_kb), bank_kb.abox)
     ref = QuerySpec(KEY, (A(bank_kb, "Client", KEY),))
-    assert len(answer_query(ms, bank_kb.individuals, ref)) == 3
-    ev = SupportEvaluator(ms, bank_kb.individuals, "Client")
+    assert len(answer_query(ms, ref)) == 3
+    ev = SupportEvaluator(ms, "Client")
     q2 = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "isOwnerOf", KEY, X),
                   A(bank_kb, "p_familyAccount", X, KEY, Z)))
     assert ev.support(q2) == Fraction(2, 3)
@@ -129,7 +129,7 @@ def test_criterion_7_completeness_oracle():
     checked = 0
     for seed, kb in usable_kbs(25):
         ms = chase(clausify(kb), kb.abox)
-        ev = SupportEvaluator(ms, kb.individuals, "C0")
+        ev = SupportEvaluator(ms, "C0")
         ctx = SemanticContext(kb.without_abox())
         space = enumerate_pattern_space("C0", default_bias(kb, ms), 3)
         oracle = [p for p in space

@@ -7,7 +7,7 @@ from ontominer import model as m
 from ontominer.errors import EmptyReferenceConcept
 from ontominer.kbparse import parse_kb
 from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM,
-                             MODE_SEM_TAX, MiningConfig, Pattern,
+                             MODE_SEM_TAX, Counts, MiningConfig, Pattern,
                              PRUNED_EQUIVALENT, PRUNED_NOT_SFREE,
                              PRUNED_UNSAT, Trie, TrieNode, default_bias,
                              is_semantically_free, mine, refine_candidates,
@@ -180,6 +180,16 @@ def nosem_result(bank_kb):
     return mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_NOSEM))
 
 
+@pytest.fixture(scope="module")
+def sem_tax_result(bank_kb):
+    return mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3,
+                                      MODE_SEM_TAX))
+
+
+RESULT_FIXTURES = {MODE_SEM: "sem_result", MODE_NOSEM: "nosem_result",
+                   MODE_SEM_TAX: "sem_tax_result"}
+
+
 def test_example_frequent_set(bank_kb, bank_ctx, sem_result):
     x, y, z = m.Var("x"), m.Var("y"), m.Var("z")
     q_ref = Pattern((A(bank_kb, "Client", KEY),))
@@ -217,8 +227,35 @@ def test_counter_chain_every_depth(sem_result, nosem_result):
                 >= counts.freq
 
 
-def test_counters_depth_two(sem_result):
-    assert sem_result.stats.per_depth[2].as_tuple() == (18, 18, 18, 17, 6)
+def test_counts_record_by_verdict():
+    c = Counts()
+    c.record(PRUNED_UNSAT, False)
+    assert c.as_tuple() == (1, 0, 0, 0, 0)
+    c.record(PRUNED_NOT_SFREE, False)
+    assert c.as_tuple() == (2, 1, 0, 0, 0)
+    c.record(PRUNED_EQUIVALENT, False)
+    assert c.as_tuple() == (3, 2, 1, 0, 0)
+    c.record(ACCEPTED, False)
+    assert c.as_tuple() == (4, 3, 2, 1, 0)
+    c.record(ACCEPTED, True)
+    assert c.as_tuple() == (5, 4, 3, 2, 1)
+
+
+# gen, sat, sfree, cand, freq at depths 1-3 on bank.kb, minsup 1/2.
+BANK_COUNTERS = {
+    MODE_SEM: [(1, 1, 1, 1, 1), (18, 18, 18, 17, 6), (499, 499, 454, 426, 97)],
+    MODE_NOSEM: [(1, 1, 1, 1, 1), (18, 18, 18, 18, 7),
+                 (541, 541, 541, 541, 189)],
+    MODE_SEM_TAX: [(1, 1, 1, 1, 1), (17, 17, 17, 16, 6),
+                   (494, 494, 449, 421, 97)],
+}
+
+
+@pytest.mark.parametrize("mode", BANK_COUNTERS)
+def test_counters_by_depth(request, mode):
+    per_depth = request.getfixturevalue(RESULT_FIXTURES[mode]).stats.per_depth
+    assert [per_depth[d].as_tuple() for d in sorted(per_depth)] == \
+        BANK_COUNTERS[mode]
 
 
 def test_edge_supports_monotone(sem_result):
@@ -227,16 +264,19 @@ def test_edge_supports_monotone(sem_result):
             assert child.support <= node.support
 
 
-def test_expansion_counter_snapshots(sem_result):
-    for node in sem_result.trie.nodes():
-        c = node.expansion
-        assert c.gen >= c.sat >= c.sfree >= c.cand >= c.freq
-        assert c.freq == len(node.children)
-    for depth, counts in sem_result.stats.per_depth.items():
-        if depth == 1:
-            continue
-        parents = [n for n in sem_result.trie.nodes() if n.depth == depth - 1]
-        assert counts.gen == sum(n.expansion.gen for n in parents)
+def test_expansion_counter_snapshots(sem_result, nosem_result,
+                                     sem_tax_result):
+    for result in (sem_result, nosem_result, sem_tax_result):
+        for node in result.trie.nodes():
+            c = node.expansion
+            assert c.gen >= c.sat >= c.sfree >= c.cand >= c.freq
+            assert c.freq == len(node.children)
+        for depth, counts in result.stats.per_depth.items():
+            if depth == 1:
+                continue
+            parents = [n for n in result.trie.nodes() if n.depth == depth - 1]
+            expansions = [n.expansion.as_tuple() for n in parents]
+            assert counts.as_tuple() == tuple(map(sum, zip(*expansions)))
 
 
 def test_no_two_retained_sem_patterns_equivalent(bank_kb, bank_ctx, sem_result):
@@ -276,11 +316,10 @@ def test_sem_cheaper_than_nosem_per_depth(sem_result, nosem_result):
         assert sem_counts.freq <= nosem_counts.freq
 
 
-def test_sem_tax_equals_sem_frequent_set(bank_kb, bank_ctx, sem_result):
-    tax_result = mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3,
-                                            MODE_SEM_TAX))
+def test_sem_tax_equals_sem_frequent_set(bank_ctx, sem_result,
+                                         sem_tax_result):
     sem_qs = [p.query() for p, _ in sem_result.patterns]
-    tax_qs = [p.query() for p, _ in tax_result.patterns]
+    tax_qs = [p.query() for p, _ in sem_tax_result.patterns]
     for q in sem_qs:
         assert any(bank_ctx.equivalent(q, other) for other in tax_qs)
     for q in tax_qs:

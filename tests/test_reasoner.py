@@ -190,7 +190,7 @@ def test_equality_merges_functional_fillers():
 def test_reference_query_answers(bank_kb):
     ms = bank_models(bank_kb)
     q = QuerySpec(KEY, (A(bank_kb, "Client", KEY),))
-    assert answer_query(ms, bank_kb.individuals, q) == {"Anna", "Jan", "Marek"}
+    assert answer_query(ms, q) == {"Anna", "Jan", "Marek"}
 
 
 def test_family_account_query(bank_kb):
@@ -198,7 +198,7 @@ def test_family_account_query(bank_kb):
     q = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                         A(bank_kb, "isOwnerOf", KEY, X),
                         A(bank_kb, "p_familyAccount", X, KEY, Z)))
-    assert answer_query(ms, bank_kb.individuals, q) == {"Anna", "Marek"}
+    assert answer_query(ms, q) == {"Anna", "Marek"}
 
 
 def test_credit_card_query(bank_kb):
@@ -206,14 +206,14 @@ def test_credit_card_query(bank_kb):
     q = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                         A(bank_kb, "isOwnerOf", KEY, X),
                         A(bank_kb, "CreditCard", X)))
-    assert answer_query(ms, bank_kb.individuals, q) == {"Jan"}
+    assert answer_query(ms, q) == {"Jan"}
 
 
 def test_disjunctive_predicate_certain_answers(bank_kb):
     # p_man holds for Jan or Marek in some models but never in all of them.
     ms = bank_models(bank_kb)
     q = QuerySpec(KEY, (A(bank_kb, "p_man", KEY),))
-    assert answer_query(ms, bank_kb.individuals, q) == frozenset()
+    assert answer_query(ms, q) == frozenset()
 
 
 def test_adding_atom_never_enlarges_answers(bank_kb):
@@ -225,11 +225,22 @@ def test_adding_atom_never_enlarges_answers(bank_kb):
         A(bank_kb, "p_woman", KEY),
         A(bank_kb, "p_familyAccount", X, KEY, Z),
     ]
-    prev = answer_query(ms, bank_kb.individuals, QuerySpec(KEY, tuple(base)))
+    prev = answer_query(ms, QuerySpec(KEY, tuple(base)))
     for ext in extensions:
-        grown = answer_query(ms, bank_kb.individuals,
-                             QuerySpec(KEY, tuple(base + [ext])))
+        grown = answer_query(ms, QuerySpec(KEY, tuple(base + [ext])))
         assert grown <= prev
+
+
+def test_model_set_carries_its_named_individuals():
+    kb = parse_kb("(concept A)\n(instance A m)\n")
+    program = clausify(kb)
+    ms = chase(program, [A(kb, "A", "b")], extra_individuals=frozenset({"e"}))
+    assert program.individuals == {"m"}
+    assert ms.individuals == ("b", "e", "m")
+    # ``key`` is absent from the body, so once the body holds it ranges
+    # over every named individual of the model set.
+    q = QuerySpec(KEY, (A(kb, "A", X),))
+    assert answer_query(ms, q) == {"b", "e", "m"}
 
 
 def test_answer_query_matches_brute_force(bank_kb, bank_inverse_kb):
@@ -252,7 +263,7 @@ def test_answer_query_matches_brute_force(bank_kb, bank_inverse_kb):
         for q in queries:
             if len(q.variables()) > 4:
                 continue
-            assert answer_query(ms, kb.individuals, q) == \
+            assert answer_query(ms, q) == \
                 brute_force_certain_answers(ms, kb.individuals, q), str(q)
             checked += 1
     assert checked > 500
