@@ -12,9 +12,12 @@ The chase saturates a fact set under the program rules, branch by branch:
   * Constraints (empty heads) kill the branch.
 
 Saturated consistent branches are projected to atoms over named constants
-and reduced to subset-minimal representatives.  Cautious entailment is
-membership in every remaining model; a query answer must have a grounding
-over named individuals in every model (the per-model witness may differ).
+and reduced to subset-minimal representatives; when a rule can derive
+``=``, projection adds ``=(c, c)`` for every named ``c``, which the program
+derives itself only where a user rule reads ``=`` (see ``clausify``).
+Cautious entailment is membership in every remaining model; a query answer
+must have a grounding over named individuals in every model (the per-model
+witness may differ).
 
 Satisfiability and containment of DL-safe queries follow the freeze-and-ask
 scheme: ground the query variables with fresh constants that are granted
@@ -27,9 +30,10 @@ over the same program are safe.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Optional, Sequence
 
 from . import model as m
@@ -210,6 +214,11 @@ class _Chase:
                        + of_kind(ProgramRule.is_horn)
                        + of_kind(lambda r: len(r.head) == 1 and not r.is_horn()))
         self.disjunctive = of_kind(lambda r: len(r.head) > 1)
+        # Added to every model at projection (see the module docstring).
+        derives_eq = any(isinstance(h, m.Atom) and h.pred == m.EQ_PRED
+                         for r in program.rules for h in r.head)
+        self.reflexive = tuple((m.EQ_PRED, c, c) for c in
+                               self.individuals_sorted) if derives_eq else ()
         self.skolem_memo: dict[tuple, str] = {}
         self.skolem_depth: dict[str, int] = {}
         self.truncated = False
@@ -315,10 +324,10 @@ class _Chase:
     # -- driver -------------------------------------------------------------------
 
     def run(self) -> ModelSet:
-        queue = [self.root]
+        queue = deque([self.root])
         finished: list[_Branch] = []
         while queue:
-            branch = queue.pop(0)
+            branch = queue.popleft()
             if self._saturate(branch) == "dead":
                 continue
             children = self._split(branch)
@@ -337,8 +346,11 @@ class _Chase:
         projected = []
         seen = set()
         for br in branches:
-            model = frozenset(a for a in br.atoms
-                              if all(c in self.individuals for c in a[1:]))
+            # Built by insertion: a frozenset copied from a set starts from
+            # a larger hash table, which memoized models would keep.
+            model = frozenset(chain(
+                self.reflexive, (a for a in br.atoms
+                                 if all(c in self.individuals for c in a[1:]))))
             if model not in seen:
                 seen.add(model)
                 projected.append(model)

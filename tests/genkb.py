@@ -74,6 +74,23 @@ def random_kb_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def random_eq_kb_text(seed: int) -> str:
+    """``random_kb_text(seed)`` plus a functional or inverse-functional
+    axiom on one of its roles and, sometimes, a transitive axiom, so that
+    the program carries the equality rules.  The extra axioms are drawn
+    from their own stream, which leaves ``random_kb_text`` as it was."""
+    text = random_kb_text(seed)
+    rng = random.Random(f"eq-{seed}")
+    roles = [line[len("(role "):-1] for line in text.splitlines()
+             if line.startswith("(role ")]
+    r = rng.choice(roles)
+    extra = [f"(functional {r})" if rng.random() < 0.5
+             else f"(functional (inv {r}))"]
+    if rng.random() < 0.3:
+        extra.append(f"(transitive {rng.choice(roles)})")
+    return text + "\n".join(extra) + "\n"
+
+
 def random_kb(seed: int, cfg: ChaseConfig = ChaseConfig()) -> Optional[m.CombinedKB]:
     """A consistent random KB whose concept C0 has cautious instances, or
     None when this seed draws an unusable one."""

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from genkb import random_program, usable_kbs
+from genkb import random_eq_kb_text, random_program, usable_kbs
 from oracles import brute_force_certain_answers, brute_force_minimal_models
 from ontominer import model as m
 from ontominer.clausify import (ExistsHead, GroundProgram, ProgramRule,
@@ -183,6 +183,69 @@ def test_equality_merges_functional_fillers():
                   "(related r s t1)\n(related r s t2)\n(instance A t1)\n")
     ms = chase(clausify(kb), kb.abox)
     assert cautious_entails(ms, A(kb, "A", "t2"))
+
+
+def test_equality_merges_skolem_with_named_individual():
+    # The witness of (some r B) for s is a skolem constant, and the
+    # functional axiom makes it equal to t, so t inherits B.
+    kb = parse_kb("(functional r)\n(subclass A (some r B))\n"
+                  "(instance A s)\n(related r s t)\n")
+    ms = chase(clausify(kb), kb.abox)
+    assert cautious_entails(ms, A(kb, "B", "t"))
+
+
+def test_user_rule_reads_equality():
+    kb = parse_kb("(role r)\n"
+                  "(rule (head (p_same ?x)) (body (r ?x ?y) (= ?x ?y)))\n"
+                  "(related r a a)\n(related r b c)\n")
+    ms = chase(clausify(kb), kb.abox)
+    assert cautious_entails(ms, A(kb, "p_same", "a"))
+    assert not cautious_entails(ms, A(kb, "p_same", "b"))
+
+
+def test_models_hold_reflexive_equality(bank_kb):
+    ms = bank_models(bank_kb)
+    for model in ms.models:
+        assert all((m.EQ_PRED, c, c) in model for c in ms.individuals)
+    kb = parse_kb("(subclass A B)\n(instance A x)\n(related r x y)\n")
+    ms = chase(clausify(kb), kb.abox)
+    assert not any(a[0] == m.EQ_PRED for model in ms.models for a in model)
+
+
+def _with_full_equality_axioms(program: GroundProgram) -> GroundProgram:
+    """``program`` with the equality axiomatization written out in full:
+    the reflexivity rule ``=(x0, x0) :- O(x0)`` ahead of symmetry, and each
+    congruence body with its ``=`` atom last."""
+    x = m.Var("x0")
+    reflexivity = ProgramRule(
+        "reflexivity", (m.Atom(m.EQ_PRED, (x, x), m.EQUALITY),),
+        (m.Atom(m.O_PRED, (x,), m.OPRED),), "eq-reflexivity")
+    rules = []
+    for r in program.rules:
+        assert r.origin != "eq-reflexivity"
+        if r.origin == "eq-symmetry":
+            rules.append(reflexivity)
+        if r.origin.startswith("eq-congruence"):
+            r = ProgramRule(r.rid, r.head, r.body[::-1], r.origin)
+        rules.append(r)
+    return GroundProgram(tuple(rules), program.individuals, program.predicates)
+
+
+def test_equality_without_reflexivity_matches_full_axiomatization():
+    differing, merged, truncated = [], 0, 0
+    for seed in range(200):
+        kb = parse_kb(random_eq_kb_text(seed))
+        program = clausify(kb)
+        got = chase(program, kb.abox)
+        want = chase(_with_full_equality_axioms(program), kb.abox)
+        if got != want:
+            differing.append(seed)
+        merged += any(a[0] == m.EQ_PRED and a[1] != a[2]
+                      for model in got.models for a in model)
+        truncated += got.truncated
+    assert differing == [], f"seeds whose chase differs: {differing}"
+    # The seeds exercise what the shortcut has to get right.
+    assert merged and truncated
 
 
 # -- query answering -----------------------------------------------------------
