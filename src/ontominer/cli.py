@@ -6,7 +6,8 @@ line), ``stats.csv`` (per-depth candidate counters), and ``trie.graphml``
 (the search trie).  ``ontominer compare`` runs the semantic and
 non-semantic settings on the same KB and writes ``compare.csv`` with the
 per-depth reduction ratios.  All outputs are deterministic functions of
-the KB bytes and the configuration; wall-clock timing goes to stdout only.
+the KB bytes and the configuration; wall-clock timing and the shape of the
+full-KB chase (parts, models, truncation) go to stdout only.
 
 Exit codes: 0 success, 1 parse/validation error, 2 inconsistent KB,
 3 empty reference concept, 4 resource limit.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,6 +157,12 @@ def run(cfg: RunConfig) -> int:
     _write_stats(out / "stats.csv", result)
     _write_graphml(out / "trie.graphml", result)
     print(f"{len(result.patterns)} frequent patterns -> {out}")
+    models = result.stats.part_models
+    print(f"full chase: {len(models)} parts, {sum(models)} models, "
+          f"{math.prod(models)} in their product")
+    if result.stats.truncated_parts:
+        print(f"truncated: {result.stats.truncated_parts} of {len(models)} "
+              f"parts hit the skolem depth cap; patterns may be missing")
     print(f"runtime: {result.stats.runtime:.3f}s")
     return 0
 

@@ -18,6 +18,11 @@ Children of a node arise two ways:
      fresh.  This makes every atom subset reachable in exactly one
      canonical permutation.
 
+Support is evaluated against the full KB chased once per ABox part
+(``reasoner.split_abox``): a pattern's certain answers are the union of each
+part's, since every atom of a pattern is linked to ``key`` and so each of
+its matches lies inside one part.
+
 Every candidate takes one path in every mode: it gets a verdict, its
 support is evaluated only if the verdict is ``accepted``, and
 ``Counts.record`` counts it from the verdict and the support.  In ``sem``
@@ -50,7 +55,7 @@ from . import model as m
 from .clausify import clausify
 from .errors import EmptyReferenceConcept, InconsistentKB
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
-                       Taxonomy, answer_query, chase, classify)
+                       Taxonomy, answer_query, chase, classify, split_abox)
 
 log = logging.getLogger(__name__)
 
@@ -126,8 +131,13 @@ class Counts:
 
 @dataclass
 class RunStats:
+    """Per-depth counters, the wall time, and the full chase's shape: the
+    model count of each ABox part and how many parts were truncated."""
+
     per_depth: dict[int, Counts] = field(default_factory=dict)
     runtime: float = 0.0
+    part_models: tuple[int, ...] = ()
+    truncated_parts: int = 0
 
     def at(self, depth: int) -> Counts:
         return self.per_depth.setdefault(depth, Counts())
@@ -224,20 +234,47 @@ class MineResult:
 
 
 # ---------------------------------------------------------------------------
-# Support evaluation (one chase of the full KB, reused for every candidate)
+# Support evaluation (the full KB chased once, one chase per ABox part)
 # ---------------------------------------------------------------------------
 
+def chase_parts(kb: m.CombinedKB,
+                cfg: ChaseConfig = ChaseConfig()) -> list[ModelSet]:
+    """The model set of each part of the full KB (``split_abox``).  The
+    product of the parts, which is the single chase's model set, is never
+    built, and ``cfg.max_branches`` bounds each part's chase on its own."""
+    parts = [chase(program, facts, cfg)
+             for program, facts in split_abox(clausify(kb), kb.abox)]
+    if any(ms.inconsistent for ms in parts):
+        raise InconsistentKB("the combined knowledge base is inconsistent")
+    return parts
+
+
 class SupportEvaluator:
-    def __init__(self, ms: ModelSet, reference_concept: str):
-        self.ms = ms
+    """Support over the model sets of the ABox parts.  A pattern starts
+    with the reference atom and every atom is linked to ``key``, so each of
+    its matches lies inside one part, and its certain answers are the union
+    of each part's; parts without a reference instance add none and are
+    dropped."""
+
+    def __init__(self, parts: Sequence[ModelSet], reference_concept: str):
+        self.reference_concept = reference_concept
         ref = QuerySpec(KEY, (m.Atom(reference_concept, (KEY,), m.CONCEPT),))
-        self.reference_extension = answer_query(ms, ref)
+        extensions = [answer_query(ms, ref) for ms in parts]
+        self.parts = tuple(ms for ms, ext in zip(parts, extensions) if ext)
+        self.reference_extension = frozenset().union(*extensions)
         if not self.reference_extension:
             raise EmptyReferenceConcept(
                 f"concept '{reference_concept}' has no cautious instances")
 
     def answers(self, pattern: Pattern) -> frozenset[str]:
-        return answer_query(self.ms, pattern.query())
+        q = pattern.query()
+        first = pattern.atoms[0]
+        if (first.pred, first.args) != (self.reference_concept, (KEY,)) \
+                or not q.is_connected():
+            raise ValueError(f"support needs a pattern that starts with "
+                             f"{self.reference_concept}(?key) and is "
+                             f"connected to key: {pattern}")
+        return frozenset().union(*(answer_query(ms, q) for ms in self.parts))
 
     def support(self, pattern: Pattern) -> Fraction:
         return Fraction(len(self.answers(pattern)),
@@ -247,15 +284,13 @@ class SupportEvaluator:
 def support(kb: m.CombinedKB, q: Pattern,
             cfg: ChaseConfig = ChaseConfig()) -> Fraction:
     """Answer-set ratio of the pattern against its reference query."""
-    ms = chase(clausify(kb), kb.abox, cfg)
-    if ms.inconsistent:
-        raise InconsistentKB("support undefined on an inconsistent KB")
-    return SupportEvaluator(ms, q.atoms[0].pred).support(q)
+    return SupportEvaluator(chase_parts(kb, cfg), q.atoms[0].pred).support(q)
 
 
-def default_bias(kb: m.CombinedKB, ms: ModelSet) -> list[m.Predicate]:
+def default_bias(kb: m.CombinedKB,
+                 parts: Sequence[ModelSet]) -> list[m.Predicate]:
     """Declaration order, restricted to predicates with any extension."""
-    populated = {a[0] for model in ms.models for a in model}
+    populated = {a[0] for ms in parts for model in ms.models for a in model}
     return [p for p in kb.predicates.values() if p.name in populated]
 
 
@@ -400,21 +435,22 @@ class _Miner:
     def __init__(self, kb: m.CombinedKB, cfg: MiningConfig,
                  chase_cfg: ChaseConfig):
         self.cfg = cfg
-        ms = chase(clausify(kb), kb.abox, chase_cfg)
-        if ms.inconsistent:
-            raise InconsistentKB("the combined knowledge base is inconsistent")
-        if ms.truncated:
+        self.stats = RunStats()
+        parts = chase_parts(kb, chase_cfg)
+        self.stats.part_models = tuple(len(ms.models) for ms in parts)
+        self.stats.truncated_parts = sum(ms.truncated for ms in parts)
+        if self.stats.truncated_parts:
             log.warning("chase hit the skolem depth cap; the model set and "
                         "the mined patterns may be incomplete")
         pred = kb.predicates.get(cfg.reference_concept)
         if pred is None or pred.kind != m.CONCEPT:
             raise EmptyReferenceConcept(
                 f"'{cfg.reference_concept}' is not a known concept")
-        self.evaluator = SupportEvaluator(ms, cfg.reference_concept)
+        self.evaluator = SupportEvaluator(parts, cfg.reference_concept)
         kb_cp = kb.keeping_nondl_facts() if cfg.cp_keep_nondl else kb.without_abox()
         self.ctx = SemanticContext(kb_cp, chase_cfg)
         if cfg.bias is None:
-            self.bias = default_bias(kb, ms)
+            self.bias = default_bias(kb, parts)
         else:
             unknown = [n for n in cfg.bias if n not in kb.predicates]
             if unknown:
@@ -422,7 +458,6 @@ class _Miner:
             self.bias = [kb.predicates[n] for n in cfg.bias]
         self.bias_names = {p.name for p in self.bias}
         self.taxonomy = classify(kb, chase_cfg) if cfg.mode == MODE_SEM_TAX else None
-        self.stats = RunStats()
 
     def run(self) -> MineResult:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
@@ -490,9 +525,11 @@ def mine(kb: m.CombinedKB, cfg: MiningConfig,
          chase_cfg: ChaseConfig = ChaseConfig()) -> MineResult:
     """Discover all frequent, semantically non-redundant patterns.
 
-    Chases the full KB once for support evaluation, builds the intensional
-    context once for the semantic tests, seeds the trie with the trivial
-    pattern, and expands depth-first.
+    Chases each ABox part of the full KB once for support evaluation
+    (``chase_parts``; ``result.stats`` records each part's model count and
+    how many parts were truncated), builds the intensional context once for
+    the semantic tests, seeds the trie with the trivial pattern, and expands
+    depth-first.
     """
     started = time.perf_counter()
     miner = _Miner(kb, cfg, chase_cfg)

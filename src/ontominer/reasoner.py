@@ -19,6 +19,10 @@ Cautious entailment is membership in every remaining model; a query answer
 must have a grounding over named individuals in every model (the per-model
 witness may differ).
 
+``split_abox`` cuts a KB into parts that share no constant when no rule can
+join them; the miner chases each part on its own and never builds the
+product of their models, which is what ``chase`` of the whole KB returns.
+
 Satisfiability and containment of DL-safe queries follow the freeze-and-ask
 scheme: ground the query variables with fresh constants that are granted
 O membership, assert the body, chase, and inspect the result.  These tests
@@ -31,7 +35,7 @@ over the same program are safe.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, permutations
 from typing import Iterable, Optional, Sequence
@@ -84,6 +88,12 @@ class QuerySpec:
                 if v not in seen:
                     seen.append(v)
         return tuple(seen)
+
+    def is_connected(self) -> bool:
+        """True iff every body atom is linked to ``key`` through a chain of
+        atoms that share variables (a ground atom never is)."""
+        return _all_linked([{t.name for t in a.args if isinstance(t, m.Var)}
+                            for a in self.body], {self.key.name})
 
     def __str__(self) -> str:
         return f"Q({self.key}) :- {', '.join(str(a) for a in self.body)}"
@@ -379,6 +389,90 @@ def chase(program: GroundProgram, facts: Sequence[m.Atom],
     return _Chase(program, facts, cfg, extra_individuals).run()
 
 
+# ---------------------------------------------------------------------------
+# Splitting the ABox into independent parts
+# ---------------------------------------------------------------------------
+
+def _all_linked(var_sets: Sequence[set], reached: set) -> bool:
+    """True iff every set in ``var_sets`` reaches ``reached`` through a
+    chain of sets that share an element."""
+    reached = set(reached)
+    pending = list(var_sets)
+    while pending:
+        rest = []
+        for vs in pending:
+            if vs & reached:
+                reached |= vs
+            else:
+                rest.append(vs)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return True
+
+
+def _rule_stays_local(rule: ProgramRule) -> bool:
+    """True iff every constant a match of ``rule`` touches, and every one
+    its heads mention, lies in one ABox component: no atom of the rule has
+    a constant slot or no slot at all, and its body atoms (``O`` and
+    ``$top`` ones included) are linked through shared variables."""
+    body, heads, _ = rule.compiled
+    atoms = list(body) + [h[1] for h in heads if h[0] == "atom"]
+    if any(not slots or any(s[0] == "c" for s in slots)
+           for _, slots in atoms):
+        return False
+    var_sets = [{s[1] for s in slots} for _, slots in body]
+    return not body or _all_linked(var_sets[1:], var_sets[0])
+
+
+def split_abox(program: GroundProgram, facts: Sequence[m.Atom]
+               ) -> list[tuple[GroundProgram, list[m.Atom]]]:
+    """The KB split into parts that share no constant: one per connected
+    component of the facts' constants, plus one without facts for each
+    program individual that occurs in no fact.  Each part's program is
+    ``program`` with that part's constants as its individuals (the rule
+    objects are shared, so each rule is still compiled once).  Parts come
+    in the order of their smallest constant.
+
+    When every rule stays inside one component (``_rule_stays_local``), the
+    minimal models of the whole KB are exactly the unions of one minimal
+    model per part, the whole KB is inconsistent iff some part is, and a
+    query whose atoms are all linked to its key has as certain answers the
+    union of each part's (the splitting-set theorem of Lifschitz and Turner,
+    applied to ABox partitions as by Guo and Heflin).  Otherwise the result
+    is the single part ``[(program, facts)]``.
+    """
+    facts = list(facts)
+    whole = [(program, facts)]
+    if not all(_rule_stays_local(r) for r in program.rules) or any(
+            not a.args for a in facts):
+        return whole
+    parent = {c: c for c in program.individuals}
+
+    def find(c: str) -> str:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for a in facts:
+        names = [t.name for t in a.args]
+        for c in names:
+            parent.setdefault(c, c)
+        for c in names[1:]:
+            parent[find(c)] = find(names[0])
+    if not parent:
+        return whole
+    members: dict[str, list[str]] = {}
+    for c in sorted(parent):
+        members.setdefault(find(c), []).append(c)
+    part_facts: dict[str, list[m.Atom]] = {root: [] for root in members}
+    for a in facts:
+        part_facts[find(a.args[0].name)].append(a)
+    return [(replace(program, individuals=frozenset(consts)), part_facts[root])
+            for root, consts in members.items()]
+
+
 def ground_tuple(atom: m.Atom) -> GroundAtom:
     return (atom.pred,) + tuple(t.name for t in atom.args)
 
@@ -408,16 +502,20 @@ def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
     body += [(m.O_PRED, (("v", i),)) for i in range(len(varmap))]
     body = tuple(body)
     individuals = frozenset(ms.individuals)
+    free = [None] * (len(varmap) - 1)
     result: Optional[frozenset[str]] = None
     for model in ms.models:
         index: dict[str, list] = {}
         for atom in model:
             index.setdefault(atom[0], []).append(atom)
         # Models hold no $top atoms, and query bodies none either.
-        answers = frozenset(b[0] for b in _match(
-            index, (), individuals, ms.individuals, body, 0,
-            [None] * len(varmap)))
-        result = answers if result is None else (result & answers)
+        args = (index, (), individuals, ms.individuals, body, 0)
+        if result is None:
+            result = frozenset(b[0] for b in _match(*args, [None] + free))
+        else:
+            # Only the keys still certain need a test, and one match each.
+            result = frozenset(k for k in result if next(
+                _match(*args, [k] + free), None) is not None)
         if not result:
             return frozenset()
     return result if result is not None else frozenset()
@@ -482,34 +580,36 @@ class SemanticContext:
         consts = frozenset(c.name for c in mapping.values())
         return frozen, consts
 
-    def _frozen_chase(self, q: QuerySpec) -> ModelSet:
-        key = canonical_query(q)
-        ms = self._frozen_memo.get(key)
+    def _frozen_chase(self, q: QuerySpec, form: tuple) -> ModelSet:
+        """The chase of frozen ``q``, memoized by its canonical ``form``."""
+        ms = self._frozen_memo.get(form)
         if ms is None:
             frozen, consts = self._freeze(q)
             ms = chase(self.program, list(self.base_facts) + frozen, self.cfg,
                        extra_individuals=consts)
-            self._frozen_memo[key] = ms
+            self._frozen_memo[form] = ms
         return ms
 
-    def satisfiable(self, q: QuerySpec) -> bool:
-        return not self._frozen_chase(q).inconsistent
-
-    def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
-        """True iff q1 is at least as general as q2 (q1 contains q2)."""
-        if canonical_query(q1) == canonical_query(q2):
-            return True
-        ms = self._frozen_chase(q2)
+    def _contains(self, q1: QuerySpec, q2: QuerySpec, form2: tuple) -> bool:
+        """True iff q1 contains q2, whose canonical form is ``form2``."""
+        ms = self._frozen_chase(q2, form2)
         if ms.inconsistent:
             raise InconsistentKB(
                 "frozen query body is inconsistent with the terminology")
         return "$q0" in answer_query(ms, q1)
 
+    def satisfiable(self, q: QuerySpec) -> bool:
+        return not self._frozen_chase(q, canonical_query(q)).inconsistent
+
+    def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
+        """True iff q1 is at least as general as q2 (q1 contains q2)."""
+        c1, c2 = canonical_query(q1), canonical_query(q2)
+        return c1 == c2 or self._contains(q1, q2, c2)
+
     def equivalent(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         c1, c2 = canonical_query(q1), canonical_query(q2)
-        if c1 == c2:
-            return True
-        return self.subsumes(q1, q2) and self.subsumes(q2, q1)
+        return c1 == c2 or (self._contains(q1, q2, c2)
+                            and self._contains(q2, q1, c1))
 
     def signature(self, q: QuerySpec) -> Optional[frozenset]:
         """What every minimal model of the frozen chase of ``q`` holds: each
@@ -521,7 +621,7 @@ class SemanticContext:
         not hold the key are left out, since that mapping may merge
         variables into the key.  None when the chase is truncated (or
         inconsistent), where the argument does not hold."""
-        ms = self._frozen_chase(q)
+        ms = self._frozen_chase(q, canonical_query(q))
         if ms.truncated or ms.inconsistent:
             return None
         common: Optional[set] = None

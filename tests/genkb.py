@@ -91,6 +91,29 @@ def random_eq_kb_text(seed: int) -> str:
     return text + "\n".join(extra) + "\n"
 
 
+_ABOX_HEADS = ("(fact ", "(related ", "(instance ")
+
+
+def disjoint_copies(text: str, k: int) -> str:
+    """The KB's terminology and rules once, then ``k`` copies of its ABox;
+    copy ``j`` renames every individual ``a`` to ``a_j``.  The copies share
+    no individual, so the single chase has the base model count to the
+    power ``k`` while every support ratio stays the base KB's."""
+    kept, abox = [], []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith(_ABOX_HEADS):
+            kept.append(line)
+        elif "(" in line[1:]:
+            raise ValueError(f"cannot copy a nested fact: {line}")
+        else:
+            abox.append(line[1:-1].split())
+    for j in range(k):
+        kept += [f"({' '.join(f[:2] + [f'{a}_{j}' for a in f[2:]])})"
+                 for f in abox]
+    return "\n".join(kept) + "\n"
+
+
 def random_kb(seed: int, cfg: ChaseConfig = ChaseConfig()) -> Optional[m.CombinedKB]:
     """A consistent random KB whose concept C0 has cautious instances, or
     None when this seed draws an unusable one."""

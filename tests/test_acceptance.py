@@ -39,7 +39,7 @@ def test_criterion_1_worked_example(bank_kb):
     ms = chase(clausify(bank_kb), bank_kb.abox)
     ref = QuerySpec(KEY, (A(bank_kb, "Client", KEY),))
     assert len(answer_query(ms, ref)) == 3
-    ev = SupportEvaluator(ms, "Client")
+    ev = SupportEvaluator((ms,), "Client")
     q2 = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "isOwnerOf", KEY, X),
                   A(bank_kb, "p_familyAccount", X, KEY, Z)))
     assert ev.support(q2) == Fraction(2, 3)
@@ -129,9 +129,9 @@ def test_criterion_7_completeness_oracle():
     checked = 0
     for seed, kb in usable_kbs(25):
         ms = chase(clausify(kb), kb.abox)
-        ev = SupportEvaluator(ms, "C0")
+        ev = SupportEvaluator((ms,), "C0")
         ctx = SemanticContext(kb.without_abox())
-        space = enumerate_pattern_space("C0", default_bias(kb, ms), 3)
+        space = enumerate_pattern_space("C0", default_bias(kb, (ms,)), 3)
         oracle = [p for p in space
                   if ev.support(p) >= minsup and is_semantically_free(p, ctx)]
         mined = [p for p, _ in

@@ -10,10 +10,10 @@ from ontominer.clausify import (ExistsHead, GroundProgram, ProgramRule,
 from ontominer.errors import BranchLimitExceeded, InconsistentKB
 from ontominer.kbparse import parse_kb
 from ontominer.miner import MODE_NOSEM, MiningConfig, mine
-from ontominer.reasoner import (ChaseConfig, QuerySpec, SemanticContext,
-                                answer_query, canonical_query,
-                                cautious_entails, chase, classify,
-                                format_models)
+from ontominer.reasoner import (ChaseConfig, ModelSet, QuerySpec,
+                                SemanticContext, answer_query,
+                                canonical_query, cautious_entails, chase,
+                                classify, format_models)
 
 KEY = m.Var("key")
 X, Y, Z = m.Var("x"), m.Var("y"), m.Var("z")
@@ -330,6 +330,25 @@ def test_answer_query_matches_brute_force(bank_kb, bank_inverse_kb):
                 brute_force_certain_answers(ms, kb.individuals, q), str(q)
             checked += 1
     assert checked > 500
+
+
+def test_answer_query_when_answers_shrink_model_by_model():
+    # Model i keeps the B witnesses of the first 4 - i keys only, and each
+    # key reaches two witnesses, so a key matches in more than one way.
+    keys = "abcd"
+    base = [("A", k) for k in keys]
+    base += [("r", k, f"{k}{j}") for k in keys for j in (1, 2)]
+    models = tuple(frozenset(base + [("B", f"{k}{j}") for k in keys[:4 - i]
+                                     for j in (1, 2)]) for i in range(3))
+    individuals = tuple(sorted({c for a in base for c in a[1:]}))
+    q = QuerySpec(KEY, (m.Atom("A", (KEY,), m.CONCEPT),
+                        m.Atom("r", (KEY, Z), m.ROLE),
+                        m.Atom("B", (Z,), m.CONCEPT)))
+    for order in (models, models[::-1]):
+        ms = ModelSet(order, individuals)
+        assert answer_query(ms, q) == {"a", "b"}
+        assert answer_query(ms, q) == \
+            brute_force_certain_answers(ms, frozenset(individuals), q)
 
 
 # -- satisfiability, containment, equivalence ----------------------------------
