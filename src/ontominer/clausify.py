@@ -15,12 +15,11 @@ outside quantifier scope; everything else raises UnsupportedAxiom rather
 than being silently approximated.
 
 The resulting program consists of rules whose heads are plain atoms or
-existential markers (skolemized later by the chase), role-property rules,
-an equality axiomatization (present only when a functional axiom or an
-explicit ``=`` occurs; reflexivity only when a user rule mentions ``=``,
-since the chase adds ``=(c, c)`` at projection), and the user rules made
-DL-safe.  Clausification is deterministic: the same KB yields the same rule
-sequence with stable ids.
+existential markers (skolemized later by the chase), role-property rules
+(a functional role gives ``=(y, z) :- R(x, y), R(x, z)``), and the user
+rules made DL-safe.  No equality axiom is emitted: the chase closes each
+branch under ``=`` itself (see ``reasoner``).  Clausification is
+deterministic: the same KB yields the same rule sequence with stable ids.
 """
 
 from __future__ import annotations
@@ -469,43 +468,6 @@ def _role_rule(form: NormalizedForm, emit: _Emitter) -> None:
                   f"functional {form.role}")
 
 
-def _equality_rules(predicates: dict[str, m.Predicate], reflexivity: bool,
-                    emit: _Emitter) -> None:
-    """Symmetry, transitivity, congruence per argument position, and
-    reflexivity over ``O`` only if ``reflexivity`` (a user rule reads
-    ``=``): elsewhere ``=(c, c)`` only re-derives its own inputs, and the
-    chase adds it at projection.  Congruence bodies match the rare ``=``
-    atom first."""
-    x, y = m.Var("x0"), m.Var("x1")
-    eq = lambda a, b: m.Atom(m.EQ_PRED, (a, b), m.EQUALITY)
-    if reflexivity:
-        emit.emit([eq(x, x)], [m.Atom(m.O_PRED, (x,), m.OPRED)],
-                  "eq-reflexivity")
-    emit.emit([eq(y, x)], [eq(x, y)], "eq-symmetry")
-    z = m.Var("x2")
-    emit.emit([eq(x, z)], [eq(x, y), eq(y, z)], "eq-transitivity")
-    for pred in predicates.values():
-        if pred.kind not in (m.CONCEPT, m.ROLE, m.NONDL):
-            continue
-        args = tuple(m.Var(f"a{i}") for i in range(pred.arity))
-        fresh = m.Var("b")
-        for i in range(pred.arity):
-            new_args = args[:i] + (fresh,) + args[i + 1:]
-            emit.emit([m.Atom(pred.name, new_args, pred.kind)],
-                      [eq(args[i], fresh), m.Atom(pred.name, args, pred.kind)],
-                      f"eq-congruence {pred.name}/{i}")
-
-
-def _rules_mention_equality(kb: m.CombinedKB) -> bool:
-    return any(atom.pred == m.EQ_PRED
-               for rule in kb.rules for atom in rule.head + rule.body)
-
-
-def _needs_equality(kb: m.CombinedKB) -> bool:
-    return (any(isinstance(ax, m.Functional) for ax in kb.tbox)
-            or _rules_mention_equality(kb))
-
-
 def clausify(kb: m.CombinedKB) -> GroundProgram:
     """Build the disjunctive program equisatisfiable with the KB for
     named-constant atomic consequences.  ABox facts are not part of the
@@ -519,8 +481,6 @@ def clausify(kb: m.CombinedKB) -> GroundProgram:
             _inclusion_rule(form, emit)
         else:
             _role_rule(form, emit)
-    if _needs_equality(kb):
-        _equality_rules(predicates, _rules_mention_equality(kb), emit)
     for rule in kb.rules:
         safe = m.make_dl_safe(rule)
         emit.emit(list(safe.head), list(safe.body), "user rule")

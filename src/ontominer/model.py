@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -339,24 +339,3 @@ def make_dl_safe(rule: DLRule) -> DLRule:
     if not extra:
         return rule
     return DLRule(rule.head, rule.body + extra)
-
-
-def linked_variables(key: Var, atoms: Iterable[Atom]) -> set[Var]:
-    """Variables reachable from ``key`` through shared-variable atom paths."""
-    atoms = list(atoms)
-    linked = {key}
-    changed = True
-    while changed:
-        changed = False
-        for atom in atoms:
-            vs = set(atom.variables())
-            if vs & linked and not vs <= linked:
-                linked |= vs
-                changed = True
-    return linked
-
-
-def is_linked(key: Var, atoms: Iterable[Atom]) -> bool:
-    atoms = list(atoms)
-    all_vars = {v for a in atoms for v in a.variables()}
-    return all_vars <= linked_variables(key, atoms)

@@ -3,6 +3,11 @@
 The chase saturates a fact set under the program rules, branch by branch:
 
   * Horn rules fire to fixpoint.
+  * When some rule mentions ``=``, each round closes the branch under
+    equality after the Horn rules (a materialized congruence closure:
+    ``=`` is made an equivalence and every atom gets its equal variants),
+    and the root holds ``=(c, c)`` for every named ``c``.  Merges are rare,
+    so keeping every atom costs little and leaves the models as they are.
   * Existential heads create a memoized fresh constant per (rule, disjunct,
     binding) unless an existing witness already satisfies the head; a
     single-head rule counts as disjunct 0.  The nesting depth of fresh
@@ -12,12 +17,9 @@ The chase saturates a fact set under the program rules, branch by branch:
   * Constraints (empty heads) kill the branch.
 
 Saturated consistent branches are projected to atoms over named constants
-and reduced to subset-minimal representatives; when a rule can derive
-``=``, projection adds ``=(c, c)`` for every named ``c``, which the program
-derives itself only where a user rule reads ``=`` (see ``clausify``).
-Cautious entailment is membership in every remaining model; a query answer
-must have a grounding over named individuals in every model (the per-model
-witness may differ).
+and reduced to subset-minimal representatives.  Cautious entailment is
+membership in every remaining model; a query answer must have a grounding
+over named individuals in every model (the per-model witness may differ).
 
 ``split_abox`` cuts a KB into parts that share no constant when no rule can
 join them; the miner chases each part on its own and never builds the
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations, product
 from typing import Iterable, Optional, Sequence
 
 from . import model as m
@@ -64,7 +66,8 @@ class ChaseConfig:
 class ModelSet:
     """Subset-minimal consistent models restricted to named constants;
     ``individuals`` is the extension of ``O``: the named constants the
-    chase used, sorted."""
+    chase used, sorted.  Every constant of every model is among
+    ``individuals``, so a variable that matches a model atom is named."""
 
     models: tuple[frozenset, ...]
     individuals: tuple[str, ...]
@@ -213,26 +216,26 @@ class _Chase:
             t.name for a in facts for t in a.args) | extra_individuals
         self.individuals_sorted = tuple(sorted(self.individuals))
         # (index, body, heads, nvars) per rule.  Single-head rules fire in
-        # this order each round: constraints, Horn rules, then existential
-        # rules, which see the round's Horn consequences when they look
-        # for a witness.
+        # this order each round: constraints and Horn rules, the equality
+        # closure, then existential rules, which see the round's Horn
+        # consequences and equalities when they look for a witness.
         def of_kind(keep) -> list[tuple]:
             return [(i,) + r.compiled for i, r in enumerate(program.rules)
                     if keep(r)]
 
-        self.single = (of_kind(ProgramRule.is_constraint)
-                       + of_kind(ProgramRule.is_horn)
-                       + of_kind(lambda r: len(r.head) == 1 and not r.is_horn()))
+        self.horn = (of_kind(ProgramRule.is_constraint)
+                     + of_kind(ProgramRule.is_horn))
+        self.existential = of_kind(
+            lambda r: len(r.head) == 1 and not r.is_horn())
         self.disjunctive = of_kind(lambda r: len(r.head) > 1)
-        # Added to every model at projection (see the module docstring).
-        derives_eq = any(isinstance(h, m.Atom) and h.pred == m.EQ_PRED
-                         for r in program.rules for h in r.head)
-        self.reflexive = tuple((m.EQ_PRED, c, c) for c in
-                               self.individuals_sorted) if derives_eq else ()
+        self.equality = any(isinstance(a, m.Atom) and a.pred == m.EQ_PRED
+                            for r in program.rules for a in r.head + r.body)
         self.skolem_memo: dict[tuple, str] = {}
         self.skolem_depth: dict[str, int] = {}
         self.truncated = False
         base_atoms = [(a.pred,) + tuple(t.name for t in a.args) for a in facts]
+        if self.equality:
+            base_atoms += [(m.EQ_PRED, c, c) for c in self.individuals_sorted]
         self.root = _Branch(sorted(base_atoms), self.individuals_sorted)
 
     def _matches(self, branch: _Branch, body: tuple, nvars: int):
@@ -292,22 +295,66 @@ class _Chase:
 
     # -- branch saturation ------------------------------------------------------
 
+    def _fire(self, branch: _Branch, rules: list[tuple]) -> Optional[bool]:
+        """Apply each single-head rule in ``rules`` once, in order: None
+        once a constraint fires, else whether an atom was added."""
+        changed = False
+        for index, body, heads, nvars in rules:
+            matches = self._matches(branch, body, nvars)
+            if not heads:
+                if next(matches, None) is not None:
+                    return None
+                continue
+            # Bindings are copied out before the branch grows.
+            for b in [tuple(b) for b in matches]:
+                for atom in self._head_atoms(branch, index, 0, b, heads[0]):
+                    if branch.add(atom):
+                        changed = True
+        return changed
+
+    def _close(self, branch: _Branch) -> bool:
+        """Close the branch under equality: ``=`` becomes an equivalence
+        over the constants it relates, and every atom gets each variant
+        with its arguments replaced by equal constants (the ``=`` atoms
+        included).  True iff an atom was added."""
+        parent: dict[str, str] = {}
+
+        def find(c: str) -> str:
+            while c in parent:
+                c = parent[c]
+            return c
+
+        for _, a, b in branch.by_pred.get(m.EQ_PRED, ()):
+            a, b = find(a), find(b)
+            if a != b:
+                parent[b] = a
+        if not parent:
+            return False
+        classes: dict[str, list[str]] = {}
+        for c in parent:
+            classes.setdefault(find(c), []).append(c)
+        equal = {c: (root, *rest) for root, rest in classes.items()
+                 for c in (root, *rest)}
+        added = False
+        for atoms in list(branch.by_pred.values()):
+            for atom in list(atoms):
+                if any(c in equal for c in atom[1:]):
+                    for args in product(*(equal.get(c, (c,))
+                                          for c in atom[1:])):
+                        added = branch.add((atom[0],) + args) or added
+        return added
+
     def _saturate(self, branch: _Branch) -> str:
         """Returns 'dead' once a constraint fires, or 'done' once the
-        single-head rules reach fixpoint."""
+        single-head rules and the equality closure reach fixpoint."""
         while True:
-            changed = False
-            for index, body, heads, nvars in self.single:
-                matches = self._matches(branch, body, nvars)
-                if not heads:
-                    if next(matches, None) is not None:
-                        return "dead"
-                    continue
-                # Bindings are copied out before the branch grows.
-                for b in [tuple(b) for b in matches]:
-                    for atom in self._head_atoms(branch, index, 0, b, heads[0]):
-                        if branch.add(atom):
-                            changed = True
+            changed = self._fire(branch, self.horn)
+            if changed is None:
+                return "dead"
+            if self.equality and self._close(branch):
+                changed = True
+            if self._fire(branch, self.existential):
+                changed = True
             if not changed:
                 return "done"
 
@@ -358,9 +405,8 @@ class _Chase:
         for br in branches:
             # Built by insertion: a frozenset copied from a set starts from
             # a larger hash table, which memoized models would keep.
-            model = frozenset(chain(
-                self.reflexive, (a for a in br.atoms
-                                 if all(c in self.individuals for c in a[1:]))))
+            model = frozenset(a for a in br.atoms
+                              if all(c in self.individuals for c in a[1:]))
             if model not in seen:
                 seen.add(model)
                 projected.append(model)
@@ -496,10 +542,11 @@ def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
         raise InconsistentKB("query answering undefined: KB is inconsistent")
     varmap = {q.key: 0}
     body = [compile_atom(a, varmap) for a in q.body]
-    # DL-safety made explicit: one O atom per variable, matched after the
-    # body.  If ``key`` is not in the body, O(key) ranges it over every
-    # individual once the body is satisfied.
-    body += [(m.O_PRED, (("v", i),)) for i in range(len(varmap))]
+    # DL-safety holds for every variable that matches a model atom (see
+    # ``ModelSet``); a ``key`` in no body atom ranges over every individual
+    # once the body is satisfied.
+    if not any(("v", 0) in slots for _, slots in body):
+        body.append((m.O_PRED, (("v", 0),)))
     body = tuple(body)
     individuals = frozenset(ms.individuals)
     free = [None] * (len(varmap) - 1)

@@ -199,3 +199,47 @@ def random_program(seed: int) -> tuple[GroundProgram, list[m.Atom]]:
     program = GroundProgram(tuple(rules), frozenset(consts),
                             {p.name: p for p in preds})
     return program, facts
+
+
+def random_eq_program(seed: int) -> tuple[GroundProgram, list[m.Atom]]:
+    """A small existential-free program over the two constants ``c0`` and
+    ``c1`` whose binary predicate ``b0`` is functional or inverse
+    functional (``=(y, z) :- b0(x, y), b0(x, z)`` or its mirror), plus
+    Horn, disjunctive and constraint rules over two or three unary
+    predicates, and ground facts.  ``=`` is registered as a predicate, so
+    subset enumeration covers it."""
+    rng = random.Random(f"eqp-{seed}")
+    consts = ["c0", "c1"]
+    unary = [m.Predicate(f"u{i}", 1, m.NONDL)
+             for i in range(rng.randint(2, 3))]
+    b0 = m.Predicate("b0", 2, m.NONDL)
+    x, y, z = m.Var("x"), m.Var("y"), m.Var("z")
+
+    def u(p, t):
+        return m.Atom(p.name, (t,), m.NONDL)
+
+    def b(t1, t2):
+        return m.Atom("b0", (t1, t2), m.NONDL)
+
+    eq = m.Atom(m.EQ_PRED, (y, z), m.EQUALITY)
+    rules = [([eq], [b(x, y), b(x, z)]) if rng.random() < 0.5
+             else ([eq], [b(y, x), b(z, x)])]
+    h, g = rng.sample(unary, 2)
+    rules.append(([u(h, x)], [u(g, x)]))
+    if rng.random() < 0.8:
+        h1, h2 = rng.sample(unary, 2)
+        rules.append(([u(h1, x), u(h2, x)], [b(x, y)]))
+    if rng.random() < 0.5:
+        rules.append(([u(rng.choice(unary), y)], [b(x, y)]))
+    if rng.random() < 0.4:
+        rules.append(([], [u(unary[0], x), u(unary[1], x)]))
+    facts = {u(rng.choice(unary), m.Const(rng.choice(consts)))
+             for _ in range(rng.randint(1, 2))}
+    facts |= {b(m.Const(rng.choice(consts)), m.Const(rng.choice(consts)))
+              for _ in range(rng.randint(1, 3))}
+    program = GroundProgram(
+        tuple(ProgramRule(f"r{i}", tuple(head), tuple(body))
+              for i, (head, body) in enumerate(rules)),
+        frozenset(consts),
+        {p.name: p for p in unary + [b0, m.EQ_PREDICATE]})
+    return program, sorted(facts, key=str)

@@ -1,7 +1,8 @@
 """Independent reference computations the test suite checks the engine
-against: minimal models by subset enumeration over the Herbrand base,
-certain answers by enumeration of variable assignments, and the pattern
-space by exhaustive enumeration of refinement sequences."""
+against: equality written out as rules, minimal models by subset
+enumeration over the Herbrand base, certain answers by enumeration of
+variable assignments, and the pattern space by exhaustive enumeration of
+refinement sequences."""
 
 from __future__ import annotations
 
@@ -9,9 +10,51 @@ from itertools import product
 from typing import Sequence
 
 from ontominer import model as m
-from ontominer.clausify import GroundProgram
+from ontominer.clausify import GroundProgram, ProgramRule
 from ontominer.miner import KEY, Pattern, _make_atom, _placements
 from ontominer.reasoner import ModelSet, QuerySpec, canonical_query
+
+
+def with_equality_axioms(program: GroundProgram,
+                         reflexivity: bool = True) -> GroundProgram:
+    """``program`` with equality axiomatized, ahead of its user rules:
+    reflexivity over ``O`` (unless ``reflexivity`` is false), symmetry,
+    transitivity, and congruence for each argument position of every
+    concept, role and non-DL predicate.  The reference for the chase's
+    equality closure, which must find the same models when this program is
+    chased with the closure switched off.  A program that does not mention
+    ``=`` comes back unchanged."""
+    if not any(isinstance(a, m.Atom) and a.pred == m.EQ_PRED
+               for r in program.rules for a in r.head + r.body):
+        return program
+    x, y, z = m.Var("x0"), m.Var("x1"), m.Var("x2")
+
+    def eq(a: m.Term, b: m.Term) -> m.Atom:
+        return m.Atom(m.EQ_PRED, (a, b), m.EQUALITY)
+
+    axioms = [((eq(y, x),), (eq(x, y),), "eq-symmetry"),
+              ((eq(x, z),), (eq(x, y), eq(y, z)), "eq-transitivity")]
+    if reflexivity:
+        axioms.insert(0, ((eq(x, x),), (m.Atom(m.O_PRED, (x,), m.OPRED),),
+                          "eq-reflexivity"))
+    for pred in program.predicates.values():
+        if pred.kind not in (m.CONCEPT, m.ROLE, m.NONDL):
+            continue
+        args = tuple(m.Var(f"a{i}") for i in range(pred.arity))
+        fresh = m.Var("b")
+        for i in range(pred.arity):
+            moved = args[:i] + (fresh,) + args[i + 1:]
+            axioms.append(((m.Atom(pred.name, moved, pred.kind),),
+                           (m.Atom(pred.name, args, pred.kind),
+                            eq(args[i], fresh)),
+                           f"eq-congruence {pred.name}/{i}"))
+    user = [i for i, r in enumerate(program.rules) if r.origin == "user rule"]
+    at = user[0] if user else len(program.rules)
+    rules = (program.rules[:at]
+             + tuple(ProgramRule(f"eq{i}", head, body, origin)
+                     for i, (head, body, origin) in enumerate(axioms))
+             + program.rules[at:])
+    return GroundProgram(rules, program.individuals, program.predicates)
 
 
 def brute_force_minimal_models(program: GroundProgram,

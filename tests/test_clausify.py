@@ -162,23 +162,22 @@ def test_user_rules_made_safe_and_appended():
 
 
 def test_equality_rules_only_when_needed(bank_kb):
-    # bank.kb's functional axiom brings in equality, but no user rule there
-    # reads =, so the reflexivity rule is left to projection.
-    origins = {r.origin.split()[0] for r in clausify(bank_kb).rules}
-    assert {"eq-symmetry", "eq-transitivity", "eq-congruence"} <= origins
-    assert "eq-reflexivity" not in origins
+    # The chase decides equality itself: no KB gets an equality axiom, and
+    # the rules that derive or read = stay as they are.
+    def equality_rules(kb):
+        return [r for r in clausify(kb).rules if r.origin.startswith("eq-")]
+
+    assert equality_rules(bank_kb) == []
+    assert any(r.origin == "functional (inv hasMortgage)"
+               and r.head[0].pred == m.EQ_PRED for r in clausify(bank_kb).rules)
     reads_eq = parse_kb("(role r)\n"
                         "(rule (head (p_same ?x)) (body (r ?x ?y) (= ?x ?y)))\n")
-    assert any(r.origin == "eq-reflexivity" for r in clausify(reads_eq).rules)
+    assert equality_rules(reads_eq) == []
+    assert any(r.origin == "user rule" and any(a.pred == m.EQ_PRED
+                                               for a in r.body)
+               for r in clausify(reads_eq).rules)
     horn = parse_kb("(subclass A B)\n(instance A x)\n")
-    assert not any(r.origin.startswith("eq-") for r in clausify(horn).rules)
-
-
-def test_congruence_bodies_start_with_equality(bank_kb):
-    congruence = [r for r in clausify(bank_kb).rules
-                  if r.origin.startswith("eq-congruence")]
-    assert congruence
-    assert all(r.body[0].pred == m.EQ_PRED for r in congruence)
+    assert equality_rules(horn) == []
 
 
 def test_horn_kb_yields_plain_datalog():

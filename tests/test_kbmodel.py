@@ -4,6 +4,7 @@ from genkb import random_kb_text, usable_kbs
 from ontominer import model as m
 from ontominer.errors import ParseError
 from ontominer.kbparse import parse_kb, serialize_kb
+from ontominer.reasoner import QuerySpec
 
 
 def atom(kind, pred, *terms):
@@ -172,8 +173,8 @@ def test_make_dl_safe_always_yields_safe_rules(bank_kb):
 
 def test_linkedness_helper():
     key, x, y = m.Var("key"), m.Var("x"), m.Var("y")
-    linked = [m.Atom("C", (key,), m.CONCEPT), m.Atom("r", (key, x), m.ROLE),
-              m.Atom("r", (x, y), m.ROLE)]
-    assert m.is_linked(key, linked)
-    assert not m.is_linked(key, [m.Atom("C", (key,), m.CONCEPT),
-                                 m.Atom("D", (x,), m.CONCEPT)])
+    linked = (m.Atom("C", (key,), m.CONCEPT), m.Atom("r", (key, x), m.ROLE),
+              m.Atom("r", (x, y), m.ROLE))
+    assert QuerySpec(key, linked).is_connected()
+    assert not QuerySpec(key, (m.Atom("C", (key,), m.CONCEPT),
+                               m.Atom("D", (x,), m.CONCEPT))).is_connected()

@@ -296,7 +296,7 @@ def test_retained_sem_patterns_satisfiable_and_s_free(bank_ctx, sem_result):
 def test_retained_patterns_are_linked(sem_result, nosem_result):
     for res in (sem_result, nosem_result):
         for p, _ in res.patterns:
-            assert m.is_linked(KEY, p.atoms)
+            assert p.query().is_connected()
 
 
 def test_nosem_keeps_range_redundant_pattern(bank_kb, bank_ctx, nosem_result,

@@ -2,16 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from genkb import random_eq_kb_text, random_program, usable_kbs
-from oracles import brute_force_certain_answers, brute_force_minimal_models
+from genkb import (random_eq_kb_text, random_eq_program, random_kb_text,
+                   random_program, usable_kbs)
+from oracles import (brute_force_certain_answers, brute_force_minimal_models,
+                     with_equality_axioms)
 from ontominer import model as m
 from ontominer.clausify import (ExistsHead, GroundProgram, ProgramRule,
                                 clausify)
 from ontominer.errors import BranchLimitExceeded, InconsistentKB
 from ontominer.kbparse import parse_kb
-from ontominer.miner import MODE_NOSEM, MiningConfig, mine
+from ontominer.miner import MODE_NOSEM, MiningConfig, chase_parts, mine
 from ontominer.reasoner import (ChaseConfig, ModelSet, QuerySpec,
-                                SemanticContext, answer_query,
+                                SemanticContext, _Chase, answer_query,
                                 canonical_query, cautious_entails, chase,
                                 classify, format_models)
 
@@ -203,6 +205,24 @@ def test_user_rule_reads_equality():
     assert not cautious_entails(ms, A(kb, "p_same", "b"))
 
 
+def test_user_rule_derives_equality(monkeypatch):
+    # The rule makes a equal to b and to c and can re-derive only pairs
+    # that start with a, so the closure itself must relate b and c.
+    kb = parse_kb("(concept A)\n(concept B)\n(role r)\n"
+                  "(rule (head (= a ?y)) (body (A ?y)))\n"
+                  "(instance A b)\n(instance A c)\n(related r a d)\n"
+                  "(instance B d)\n")
+    ms = chase(clausify(kb), kb.abox)
+    for x in "abc":
+        assert cautious_entails(ms, A(kb, "A", x))
+        assert cautious_entails(ms, A(kb, "r", x, "d"))
+        for y in "abc":
+            assert cautious_entails(ms, A(kb, "=", x, y))
+    assert not cautious_entails(ms, A(kb, "=", "a", "d"))
+    monkeypatch.setattr(_Chase, "_close", lambda self, branch: False)
+    assert chase(with_equality_axioms(clausify(kb)), kb.abox) == ms
+
+
 def test_models_hold_reflexive_equality(bank_kb):
     ms = bank_models(bank_kb)
     for model in ms.models:
@@ -212,40 +232,57 @@ def test_models_hold_reflexive_equality(bank_kb):
     assert not any(a[0] == m.EQ_PRED for model in ms.models for a in model)
 
 
-def _with_full_equality_axioms(program: GroundProgram) -> GroundProgram:
-    """``program`` with the equality axiomatization written out in full:
-    the reflexivity rule ``=(x0, x0) :- O(x0)`` ahead of symmetry, and each
-    congruence body with its ``=`` atom last."""
-    x = m.Var("x0")
-    reflexivity = ProgramRule(
-        "reflexivity", (m.Atom(m.EQ_PRED, (x, x), m.EQUALITY),),
-        (m.Atom(m.O_PRED, (x,), m.OPRED),), "eq-reflexivity")
-    rules = []
-    for r in program.rules:
-        assert r.origin != "eq-reflexivity"
-        if r.origin == "eq-symmetry":
-            rules.append(reflexivity)
-        if r.origin.startswith("eq-congruence"):
-            r = ProgramRule(r.rid, r.head, r.body[::-1], r.origin)
-        rules.append(r)
-    return GroundProgram(tuple(rules), program.individuals, program.predicates)
+def _without_equality(models) -> set:
+    return {frozenset(a for a in model if a[0] != m.EQ_PRED)
+            for model in models}
 
 
-def test_equality_without_reflexivity_matches_full_axiomatization():
+def test_equality_closure_matches_axiomatization(monkeypatch, bank_kb,
+                                                 bank_inverse_kb, pat_kb):
+    """The chase's equality closure finds the models that the equality
+    axioms find when the closure is switched off."""
+    cases = [(f"eq{seed}", parse_kb(random_eq_kb_text(seed)), cap)
+             for cap in (3, 1) for seed in range(400)]
+    cases += [(f"kb{seed}", parse_kb(random_kb_text(seed)), 3)
+              for seed in range(200)]
+    cases += [("bank", bank_kb, 3), ("bank_inverse", bank_inverse_kb, 3),
+              ("pat", pat_kb, 3)]
+    native = [chase(clausify(kb), kb.abox, ChaseConfig(cap))
+              for _, kb, cap in cases]
+    monkeypatch.setattr(_Chase, "_close", lambda self, branch: False)
     differing, merged, truncated = [], 0, 0
-    for seed in range(200):
-        kb = parse_kb(random_eq_kb_text(seed))
-        program = clausify(kb)
-        got = chase(program, kb.abox)
-        want = chase(_with_full_equality_axioms(program), kb.abox)
+    for (name, kb, cap), got in zip(cases, native):
+        want = chase(with_equality_axioms(clausify(kb)), kb.abox,
+                     ChaseConfig(cap))
         if got != want:
-            differing.append(seed)
+            differing.append((name, cap))
         merged += any(a[0] == m.EQ_PRED and a[1] != a[2]
                       for model in got.models for a in model)
         truncated += got.truncated
-    assert differing == [], f"seeds whose chase differs: {differing}"
-    # The seeds exercise what the shortcut has to get right.
+    assert differing == [], f"cases whose chase differs: {differing}"
+    # The cases exercise what the closure has to get right.
     assert merged and truncated
+
+
+def test_equality_closure_matches_brute_force():
+    """On small existential-free programs with a functional-style rule,
+    the chase's models agree with subset enumeration over the program
+    axiomatized without reflexivity (which needs ``O``, outside the
+    oracle), once ``=`` atoms are dropped from both sides."""
+    merged = split = dead = 0
+    for seed in range(60):
+        program, facts = random_eq_program(seed)
+        ms = chase(program, facts)
+        expected, inconsistent = brute_force_minimal_models(
+            with_equality_axioms(program, reflexivity=False), facts)
+        assert ms.inconsistent == inconsistent, f"seed {seed}"
+        assert _without_equality(ms.models) == _without_equality(expected), \
+            f"seed {seed}"
+        merged += any(a[0] == m.EQ_PRED and a[1] != a[2]
+                      for model in ms.models for a in model)
+        split += len(ms.models) > 1
+        dead += ms.inconsistent
+    assert merged and split and dead
 
 
 # -- query answering -----------------------------------------------------------
@@ -304,6 +341,23 @@ def test_model_set_carries_its_named_individuals():
     # over every named individual of the model set.
     q = QuerySpec(KEY, (A(kb, "A", X),))
     assert answer_query(ms, q) == {"b", "e", "m"}
+
+
+def test_models_hold_only_named_constants(bank_kb, bank_inverse_kb):
+    # answer_query relies on this to leave out the O atoms of variables
+    # that occur in a body atom.
+    sets = [chase(*random_program(seed)) for seed in range(200)]
+    for seed in range(200):
+        for text in (random_kb_text(seed), random_eq_kb_text(seed)):
+            kb = parse_kb(text)
+            sets.append(chase(clausify(kb), kb.abox))
+    for kb in (bank_kb, bank_inverse_kb):
+        sets += chase_parts(kb)
+    for ms in sets:
+        named = set(ms.individuals)
+        for model in ms.models:
+            assert all(c in named for atom in model for c in atom[1:])
+    assert any(ms.truncated for ms in sets)
 
 
 def test_answer_query_matches_brute_force(bank_kb, bank_inverse_kb):
