@@ -13,12 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from ontominer import MiningConfig, load_kb, mine
-from ontominer.miner import MODE_NOSEM, MODE_SEM, MODE_SEM_TAX
+from ontominer.miner import MODE_NOSEM, MODE_SEM
 
 kb = load_kb(str(Path(__file__).parent / "bank.kb"))
 
 results = {}
-for mode in (MODE_SEM, MODE_NOSEM, MODE_SEM_TAX):
+for mode in (MODE_SEM, MODE_NOSEM):
     cfg = MiningConfig("Client", Fraction(1, 2), 3, mode)
     results[mode] = mine(kb, cfg)
 

@@ -8,8 +8,8 @@ from .errors import (BranchLimitExceeded, EmptyReferenceConcept,
 from .kbparse import load_kb, parse_kb, serialize_kb
 from .clausify import GroundProgram, ProgramRule, clausify, format_program, normalize
 from .miner import (MineResult, MiningConfig, Pattern, RunStats, Trie,
-                    TrieNode, mine, refine_candidates, refine_with_taxonomy,
-                    semantic_filter, support, trivial_pattern)
+                    TrieNode, mine, refine_candidates, semantic_filter,
+                    support, trivial_pattern)
 from .model import (Atom, CombinedKB, Const, DLRule, Predicate, Var,
                     check_dl_safety, make_dl_safe)
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
@@ -27,6 +27,5 @@ __all__ = [
     "Var", "answer_query", "cautious_entails", "chase", "check_dl_safety",
     "classify", "clausify", "format_models", "format_program", "load_kb",
     "make_dl_safe", "mine", "normalize", "parse_kb", "refine_candidates",
-    "refine_with_taxonomy", "semantic_filter", "serialize_kb", "support",
-    "trivial_pattern",
+    "semantic_filter", "serialize_kb", "support", "trivial_pattern",
 ]

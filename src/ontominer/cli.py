@@ -9,8 +9,8 @@ per-depth reduction ratios.  All outputs are deterministic functions of
 the KB bytes and the configuration; wall-clock timing and the shape of the
 full-KB chase (parts, models, truncation) go to stdout only.
 
-Exit codes: 0 success, 1 parse/validation error, 2 inconsistent KB,
-3 empty reference concept, 4 resource limit.
+Exit codes: 0 success, 1 usage, parse or validation error, 2 inconsistent
+KB, 3 empty reference concept, 4 resource limit.
 """
 
 from __future__ import annotations
@@ -169,37 +169,25 @@ def run(cfg: RunConfig) -> int:
 
 @_exit_code_on_error
 def compare_modes(cfg: RunConfig) -> int:
-    """Run sem and nosem, plus sem-tax when that is the requested mode, on
-    one KB and report the per-depth candidate/frequent reductions of the
-    non-semantic run over the semantic one."""
+    """Run sem and nosem on one KB and report the per-depth
+    candidate/frequent reductions of the non-semantic run over the semantic
+    one."""
     kb = _load(cfg)
     chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    modes = [mining.MODE_SEM, mining.MODE_NOSEM]
-    if cfg.mode == mining.MODE_SEM_TAX:
-        modes.append(mining.MODE_SEM_TAX)
-    results = {}
-    for mode in modes:
-        results[mode] = mining.mine(kb, _mining_config(cfg, mode), chase_cfg)
+    results = {mode: mining.mine(kb, _mining_config(cfg, mode), chase_cfg)
+               for mode in (mining.MODE_SEM, mining.MODE_NOSEM)}
     depths = sorted({d for r in results.values() for d in r.stats.per_depth})
-    header = ["depth"]
-    for mode in results:
-        tag = mode.replace("-", "_")
-        header += [f"cand_{tag}", f"freq_{tag}"]
-    header += ["reduction_cand", "reduction_freq"]
-    lines = [",".join(header)]
+    lines = ["depth,cand_sem,freq_sem,cand_nosem,freq_nosem,"
+             "reduction_cand,reduction_freq"]
     for depth in depths:
-        at = {mode: r.stats.per_depth.get(depth, mining.Counts())
-              for mode, r in results.items()}
-        row = [str(depth)]
-        for c in at.values():
-            row += [str(c.cand), str(c.freq)]
-        for attr in ("cand", "freq"):
-            s = getattr(at[mining.MODE_SEM], attr)
-            n = getattr(at[mining.MODE_NOSEM], attr)
-            row.append(f"{n / s:.2f}" if s else "")
-        lines.append(",".join(row))
+        s, n = (results[mode].stats.per_depth.get(depth, mining.Counts())
+                for mode in (mining.MODE_SEM, mining.MODE_NOSEM))
+        row = [depth, s.cand, s.freq, n.cand, n.freq]
+        row += [f"{nv / sv:.2f}" if sv else ""
+                for nv, sv in ((n.cand, s.cand), (n.freq, s.freq))]
+        lines.append(",".join(map(str, row)))
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for mode, r in results.items():
         print(f"{mode}: {len(r.patterns)} patterns, "
@@ -220,9 +208,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="minimum support in (0,1], e.g. 0.5 or 2/3")
     p.add_argument("--max-depth", required=True, type=int,
                    help="maximum number of atoms per pattern")
-    p.add_argument("--mode", choices=[mining.MODE_SEM, mining.MODE_NOSEM,
-                                      mining.MODE_SEM_TAX],
-                   default=mining.MODE_SEM)
     p.add_argument("--bias", default=None,
                    help="comma-separated predicate list (default: all "
                         "predicates with a non-empty extension)")
@@ -247,7 +232,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         reference_concept=args.ref_concept,
         minsup=minsup,
         max_depth=args.max_depth,
-        mode=args.mode,
+        mode=getattr(args, "mode", mining.MODE_SEM),
         bias=bias,
         out_dir=args.out,
         covering_complement=args.covering_complement,
@@ -266,9 +251,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_mine = sub.add_parser("mine", help="mine one configuration")
     _add_common(p_mine)
+    p_mine.add_argument("--mode", choices=[mining.MODE_SEM, mining.MODE_NOSEM],
+                        default=mining.MODE_SEM)
     p_cmp = sub.add_parser("compare", help="compare sem/nosem settings")
     _add_common(p_cmp)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # --help exits 0; a usage error is an input error like any other,
+        # so it exits 1 rather than argparse's 2 (an inconsistent KB here).
+        return 0 if e.code == 0 else 1
     try:
         cfg = _config_from_args(args)
     except (ValueError, ZeroDivisionError) as e:

@@ -31,11 +31,7 @@ the intensional KB, semantic freeness (no non-reference atom is deducible
 from the rest), and non-equivalence to any frequent pattern already in the
 trie, tested only against the nodes that share its frozen-chase signature
 (``SemanticContext.signature``).  ``nosem`` skips all three and accepts
-every candidate.  ``sem-tax`` additionally drives concept and role
-candidates top-down through the entailed taxonomy: only root predicates
-are drawn for an unconstrained variable, a candidate spawns its direct
-specializations as sibling candidates unless it is unsatisfiable or
-infrequent (support is monotone, so nothing frequent is lost).
+every candidate.
 
 Ordering is deterministic everywhere: bias order is KB declaration order,
 dependent atoms are ordered by predicate then placement, and counters,
@@ -55,7 +51,7 @@ from . import model as m
 from .clausify import clausify
 from .errors import EmptyReferenceConcept, InconsistentKB
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
-                       Taxonomy, answer_query, chase, classify, split_abox)
+                       answer_query, chase, split_abox)
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +59,6 @@ KEY = m.Var("key")
 
 MODE_SEM = "sem"
 MODE_NOSEM = "nosem"
-MODE_SEM_TAX = "sem-tax"
 
 ACCEPTED = "accepted"
 PRUNED_UNSAT = "pruned-unsat"
@@ -222,7 +217,7 @@ class MiningConfig:
             raise ValueError("minsup must lie in (0, 1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.mode not in (MODE_SEM, MODE_NOSEM, MODE_SEM_TAX):
+        if self.mode not in (MODE_SEM, MODE_NOSEM):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -365,35 +360,15 @@ def _copy_right_brother(node: TrieNode, brother: TrieNode) -> Optional[m.Atom]:
 def refine_candidates(node: TrieNode,
                       bias: Sequence[m.Predicate]) -> list[m.Atom]:
     """Candidate atoms to append below ``node``: dependent atoms first
-    (bias order, then placement order), then right-brother copies."""
+    (bias order, then placement order), then right-brother copies.  They
+    are pairwise distinct: each dependent atom holds a variable that the
+    node's atom introduced and no copy does, and copies number their fresh
+    variables in order of first occurrence."""
     out = _dependent_atoms(node.pattern, bias)
     for brother in node.right_brothers():
         atom = _copy_right_brother(node, brother)
         if atom is not None:
             out.append(atom)
-    return out
-
-
-def refine_with_taxonomy(node: TrieNode, taxonomy: Taxonomy,
-                         bias: Sequence[m.Predicate]) -> list[m.Atom]:
-    """``refine_candidates`` with the bias narrowed to the taxonomy roots
-    for concepts and roles (deeper predicates are spawned as siblings once
-    their parent atom proves frequent, see ``_Miner.expand_node``).  The
-    root, which has no right brothers, also offers the direct
-    specializations of the reference concept, after its dependent atoms:
-    the reference atom is frequent by definition."""
-    c_roots = set(taxonomy.concept_roots())
-    r_roots = set(taxonomy.role_roots())
-    narrowed = [p for p in bias
-                if (p.kind == m.CONCEPT and p.name in c_roots)
-                or (p.kind == m.ROLE and p.name in r_roots)
-                or p.kind == m.NONDL]
-    out = refine_candidates(node, narrowed)
-    if node.parent is None:
-        names = {p.name for p in bias}
-        out += [m.Atom(name, (KEY,), m.CONCEPT)
-                for name in taxonomy.direct_subconcepts(node.atom.pred)
-                if name in names]
     return out
 
 
@@ -456,8 +431,6 @@ class _Miner:
             if unknown:
                 raise ValueError(f"unknown predicates in bias: {', '.join(unknown)}")
             self.bias = [kb.predicates[n] for n in cfg.bias]
-        self.bias_names = {p.name for p in self.bias}
-        self.taxonomy = classify(kb, chase_cfg) if cfg.mode == MODE_SEM_TAX else None
 
     def run(self) -> MineResult:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
@@ -468,36 +441,13 @@ class _Miner:
         patterns = [(n.pattern, n.support) for n in trie.nodes()]
         return MineResult(trie, patterns, self.stats)
 
-    def _spawned_siblings(self, atom: m.Atom) -> list[m.Atom]:
-        assert self.taxonomy is not None
-        if atom.kind == m.CONCEPT:
-            subs = self.taxonomy.direct_subconcepts(atom.pred)
-        elif atom.kind == m.ROLE:
-            subs = self.taxonomy.direct_subroles(atom.pred)
-        else:
-            return []
-        return [m.Atom(name, atom.args, atom.kind)
-                for name in subs if name in self.bias_names]
-
     def expand_node(self, node: TrieNode, trie: Trie) -> None:
         if node.depth >= self.cfg.max_depth:
             return
-        mode = self.cfg.mode
-        if mode == MODE_SEM_TAX:
-            worklist = refine_with_taxonomy(node, self.taxonomy, self.bias)
-        else:
-            worklist = refine_candidates(node, self.bias)
         counts = self.stats.at(node.depth + 1)
-        seen: set[m.Atom] = set()
-        i = 0
-        while i < len(worklist):
-            atom = worklist[i]
-            i += 1
-            if atom in seen:
-                continue
-            seen.add(atom)
+        for atom in refine_candidates(node, self.bias):
             child_pattern = node.pattern.with_atom(atom)
-            if mode == MODE_NOSEM:
+            if self.cfg.mode == MODE_NOSEM:
                 verdict = ACCEPTED
             else:
                 verdict = semantic_filter(child_pattern, self.ctx, trie)
@@ -511,12 +461,6 @@ class _Miner:
                                                  node.depth + 1, node))
             counts.record(verdict, frequent)
             node.expansion.record(verdict, frequent)
-            # An unsatisfiable atom has no satisfiable specialization, and an
-            # infrequent one no frequent specialization (support is
-            # monotone); every other atom spawns its direct specializations.
-            if mode == MODE_SEM_TAX and (frequent or verdict in (
-                    PRUNED_NOT_SFREE, PRUNED_EQUIVALENT)):
-                worklist.extend(self._spawned_siblings(atom))
         for child in node.children:
             self.expand_node(child, trie)
 

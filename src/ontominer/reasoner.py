@@ -30,8 +30,11 @@ scheme: ground the query variables with fresh constants that are granted
 O membership, assert the body, chase, and inspect the result.  These tests
 run against the intensional part of the KB (ground facts removed).
 
-Everything here is a pure function over immutable inputs; concurrent calls
-over the same program are safe.
+The chase and ``answer_query`` are functions of their inputs, but two
+things keep state.  ``canonical_query`` memoizes into a process-global
+``lru_cache``, so a second mining run in one process finds its forms cached
+and runs faster; time each run in a process of its own.  Each
+``SemanticContext`` keeps an unlocked memo of frozen chases (see there).
 """
 
 from __future__ import annotations
@@ -686,42 +689,12 @@ class SemanticContext:
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Entailed subsumption over concept and role names.
-
-    ``concept_subsumers[A]`` holds every B with A subsumed-by B (A != B);
-    accessors expose the strict order, its transitive reduction, and roots.
-    """
+    """Entailed subsumption over concept and role names:
+    ``concept_subsumers[A]`` holds every B with A subsumed-by B (A != B),
+    and ``role_subsumers`` likewise for roles."""
 
     concept_subsumers: dict[str, frozenset[str]]
     role_subsumers: dict[str, frozenset[str]]
-
-    def _strict(self, table: dict[str, frozenset[str]], name: str) -> set[str]:
-        return {s for s in table.get(name, frozenset())
-                if name not in table.get(s, frozenset())}
-
-    def _roots(self, table: dict[str, frozenset[str]]) -> list[str]:
-        return sorted(n for n in table if not self._strict(table, n))
-
-    def _direct_subs(self, table: dict[str, frozenset[str]], name: str) -> list[str]:
-        subs = [d for d in table if name in self._strict(table, d)]
-        out = []
-        for d in subs:
-            between = self._strict(table, d) - {name}
-            if not any(name in self._strict(table, e) for e in between):
-                out.append(d)
-        return sorted(out)
-
-    def concept_roots(self) -> list[str]:
-        return self._roots(self.concept_subsumers)
-
-    def role_roots(self) -> list[str]:
-        return self._roots(self.role_subsumers)
-
-    def direct_subconcepts(self, name: str) -> list[str]:
-        return self._direct_subs(self.concept_subsumers, name)
-
-    def direct_subroles(self, name: str) -> list[str]:
-        return self._direct_subs(self.role_subsumers, name)
 
 
 def classify(kb: m.CombinedKB, cfg: ChaseConfig = ChaseConfig()) -> Taxonomy:

