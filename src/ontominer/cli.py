@@ -178,11 +178,10 @@ def compare_modes(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     results = {mode: mining.mine(kb, _mining_config(cfg, mode), chase_cfg)
                for mode in (mining.MODE_SEM, mining.MODE_NOSEM)}
-    depths = sorted({d for r in results.values() for d in r.stats.per_depth})
     lines = ["depth,cand_sem,freq_sem,cand_nosem,freq_nosem,"
              "reduction_cand,reduction_freq"]
-    for depth in depths:
-        s, n = (results[mode].stats.per_depth.get(depth, mining.Counts())
+    for depth in sorted(results[mining.MODE_SEM].stats.per_depth):
+        s, n = (results[mode].stats.per_depth[depth]
                 for mode in (mining.MODE_SEM, mining.MODE_NOSEM))
         row = [depth, s.cand, s.freq, n.cand, n.freq]
         row += [f"{nv / sv:.2f}" if sv else ""

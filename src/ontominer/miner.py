@@ -436,6 +436,9 @@ class _Miner:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
         root = TrieNode(root_pattern.atoms[0], root_pattern, Fraction(1), 1, None)
         trie = Trie(root)
+        # One row per depth up to the limit, whichever depths get candidates.
+        for depth in range(1, self.cfg.max_depth + 1):
+            self.stats.at(depth)
         self.stats.at(1).record(ACCEPTED, True)  # the reference pattern
         self.expand_node(root, trie)
         patterns = [(n.pattern, n.support) for n in trie.nodes()]

@@ -16,6 +16,9 @@ The chase saturates a fact set under the program rules, branch by branch:
     instances with a disjunct already true.
   * Constraints (empty heads) kill the branch.
 
+A single-head rule is matched again only after its body's predicates gain
+an atom, so a child branch re-runs only the rules its disjunct can feed.
+
 Saturated consistent branches are projected to atoms over named constants
 and reduced to subset-minimal representatives.  Cautious entailment is
 membership in every remaining model; a query answer must have a grounding
@@ -30,6 +33,9 @@ scheme: ground the query variables with fresh constants that are granted
 O membership, assert the body, chase, and inspect the result.  These tests
 run against the intensional part of the KB (ground facts removed).
 
+``canonical_query`` gives queries equal up to renaming one form, exactly
+and at any size, by colour refinement and individualization.
+
 The chase and ``answer_query`` are functions of their inputs, but two
 things keep state.  ``canonical_query`` memoizes into a process-global
 ``lru_cache``, so a second mining run in one process finds its forms cached
@@ -39,10 +45,10 @@ and runs faster; time each run in a process of its own.  Each
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from . import model as m
@@ -176,13 +182,20 @@ def _match(by_pred: dict[str, list], consts: Sequence[str], named: frozenset,
 
 
 class _Branch:
-    __slots__ = ("atoms", "by_pred", "consts", "const_set")
+    """A branch's atoms and constants.  The atom count serves as a clock:
+    ``stamp`` maps a predicate (``$top`` for a new constant) to the count
+    after its last addition, and ``ran`` a rule index to the count at its
+    last match in this branch or an ancestor."""
+
+    __slots__ = ("atoms", "by_pred", "consts", "const_set", "stamp", "ran")
 
     def __init__(self, atoms: Iterable[GroundAtom], base_consts: Sequence[str]):
         self.atoms: set = set()
         self.by_pred: dict[str, list] = {}
         self.consts: list[str] = []
         self.const_set: set[str] = set()
+        self.stamp: dict[str, int] = {}
+        self.ran: dict[int, int] = {}
         for c in base_consts:
             self._note_const(c)
         for a in atoms:
@@ -192,12 +205,14 @@ class _Branch:
         if c not in self.const_set:
             self.const_set.add(c)
             self.consts.append(c)
+            self.stamp[TOP_PRED] = len(self.atoms)
 
     def add(self, atom: GroundAtom) -> bool:
         if atom in self.atoms:
             return False
         self.atoms.add(atom)
         self.by_pred.setdefault(atom[0], []).append(atom)
+        self.stamp[atom[0]] = len(self.atoms)
         for c in atom[1:]:
             self._note_const(c)
         return True
@@ -208,10 +223,17 @@ class _Branch:
         b.by_pred = {k: list(v) for k, v in self.by_pred.items()}
         b.consts = list(self.consts)
         b.const_set = set(self.const_set)
+        b.stamp = dict(self.stamp)
+        b.ran = dict(self.ran)
         return b
 
 
 class _Chase:
+    """One chase, breadth-first over branches.  ``_fire`` skips each clean
+    rule (``_clean``), whose match would add no atom, create no skolem and
+    set no flag, so every added atom, skolem name, ``truncated`` and model
+    is what matching every rule gives."""
+
     def __init__(self, program: GroundProgram, facts: Sequence[m.Atom],
                  cfg: ChaseConfig, extra_individuals: frozenset = frozenset()):
         self.cfg = cfg
@@ -231,6 +253,11 @@ class _Chase:
         self.existential = of_kind(
             lambda r: len(r.head) == 1 and not r.is_horn())
         self.disjunctive = of_kind(lambda r: len(r.head) > 1)
+        # The predicates whose atoms a match of each rule reads; ``O`` holds
+        # the named individuals, which never change during a chase.
+        self.body_preds = [tuple(dict.fromkeys(
+            pred for pred, _ in r.compiled[0] if pred != m.O_PRED))
+            for r in program.rules]
         self.equality = any(isinstance(a, m.Atom) and a.pred == m.EQ_PRED
                             for r in program.rules for a in r.head + r.body)
         self.skolem_memo: dict[tuple, str] = {}
@@ -298,11 +325,30 @@ class _Chase:
 
     # -- branch saturation ------------------------------------------------------
 
+    def _clean(self, branch: _Branch, index: int) -> bool:
+        """True iff rule ``index`` was matched in this branch or an ancestor
+        and no predicate of its body has gained an atom (``$top``: a
+        constant) since.  Matching it again would find the same bindings,
+        whose heads already hold, or are past the depth cap, or were a
+        constraint that did not fire, so it would add nothing."""
+        ran = branch.ran.get(index)
+        if ran is None:
+            return False
+        stamp = branch.stamp
+        for pred in self.body_preds[index]:
+            if stamp.get(pred, 0) > ran:
+                return False
+        return True
+
     def _fire(self, branch: _Branch, rules: list[tuple]) -> Optional[bool]:
-        """Apply each single-head rule in ``rules`` once, in order: None
-        once a constraint fires, else whether an atom was added."""
+        """Apply each single-head rule in ``rules`` once, in order, skipping
+        clean ones: None once a constraint fires, else whether an atom was
+        added."""
         changed = False
         for index, body, heads, nvars in rules:
+            if self._clean(branch, index):
+                continue
+            branch.ran[index] = len(branch.atoms)
             matches = self._matches(branch, body, nvars)
             if not heads:
                 if next(matches, None) is not None:
@@ -577,25 +623,72 @@ def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def canonical_query(q: QuerySpec) -> tuple:
-    """A form invariant under renaming of undistinguished variables (exact
-    for up to six variables, conservative beyond)."""
+    """A form that two queries share exactly when a renaming of their
+    undistinguished variables maps one body onto the other, at any size.
 
-    variables = [v for v in q.variables() if v != q.key]
+    Colour refinement partitions the variables by how they occur, and
+    individualizing each member of the first cell that is not a singleton
+    explores every labelling the colours allow (McKay and Piperno, "Practical
+    graph isomorphism, II", 2014); the form is the least body rendered under
+    those labellings.  A cell member whose swap with one already explored
+    maps the body onto itself has the same renderings and is skipped, so k
+    interchangeable atoms cost k levels of one leaf each, not k! leaves."""
+    # A variable argument becomes its index in order of first occurrence;
+    # the key and constants become labels.
+    index: dict[m.Var, int] = {}
+    atoms = [(a.pred, tuple(
+        ("key" if t == q.key else index.setdefault(t, len(index)))
+        if isinstance(t, m.Var) else "c:" + t.name for t in a.args))
+        for a in q.body]
+    body = Counter(atoms)
 
-    def rendered(order: Sequence[m.Var]) -> tuple:
-        names = {v: f"_{i}" for i, v in enumerate(order)}
-        names[q.key] = "key"
-        out = []
-        for a in q.body:
-            out.append((a.pred,) + tuple(
-                names[t] if isinstance(t, m.Var) else "c:" + t.name
-                for t in a.args))
-        return tuple(sorted(out))
+    def least(colours: list[int]) -> tuple:
+        colours = _refine(atoms, colours)
+        cell = min((c for c in colours if colours.count(c) > 1), default=None)
+        if cell is None:
+            names = [f"_{c}" for c in colours]
+            return tuple(sorted((pred,) + tuple(
+                names[t] if type(t) is int else t for t in args)
+                for pred, args in atoms))
+        explored: list[int] = []
+        for v, c in enumerate(colours):
+            if c == cell and not any(_swap_fixes(body, u, v)
+                                     for u in explored):
+                explored.append(v)
+        return min(least([2 * d + (d == cell and u != v)
+                          for u, d in enumerate(colours)]) for v in explored)
 
-    if len(variables) <= 6:
-        return min(rendered(p) for p in permutations(variables)) if variables \
-            else rendered(())
-    return rendered(variables)
+    return least([0] * len(index))
+
+
+def _refine(atoms: list[tuple], colours: list[int]) -> list[int]:
+    """Split the variable colours until they are stable: two variables keep
+    one colour only if they had one and occur alike, at the same
+    (predicate, position) with co-arguments of the same colours.  The new
+    colours are ranks of those descriptions, so they do not depend on
+    variable names, and the order of the old colours is kept."""
+    while True:
+        seen: list[list] = [[] for _ in colours]
+        for pred, args in atoms:
+            labels = tuple((0, colours[t]) if type(t) is int else (1, t)
+                           for t in args)
+            for pos, t in enumerate(args):
+                if type(t) is int:
+                    seen[t].append((pred, pos, labels))
+        described = [(c, tuple(sorted(s))) for c, s in zip(colours, seen)]
+        rank = {d: r for r, d in enumerate(sorted(set(described)))}
+        refined = [rank[d] for d in described]
+        if len(rank) == len(set(colours)):
+            return refined
+        colours = refined
+
+
+def _swap_fixes(body: Counter, u: int, v: int) -> bool:
+    """True iff swapping variables ``u`` and ``v`` maps the body onto
+    itself."""
+    swap = {u: v, v: u}
+    return Counter((pred, tuple(swap.get(t, t) for t in args))
+                   for pred, args in body.elements()) == body
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,31 @@ refinement sequences."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 from ontominer import model as m
 from ontominer.clausify import GroundProgram, ProgramRule
 from ontominer.miner import KEY, Pattern, _make_atom, _placements
 from ontominer.reasoner import ModelSet, QuerySpec, canonical_query
+
+
+def permutation_form(q: QuerySpec) -> tuple:
+    """The least rendering of ``q``'s body over every order of its
+    undistinguished variables: a form invariant under their renaming, for
+    queries of at most six of them (up to 720 orders).  The reference for
+    ``canonical_query``."""
+    variables = [v for v in q.variables() if v != q.key]
+    assert len(variables) <= 6, "the permutation form is for small queries"
+
+    def rendered(order: Sequence[m.Var]) -> tuple:
+        names = {v: f"_{i}" for i, v in enumerate(order)}
+        names[q.key] = "key"
+        return tuple(sorted((a.pred,) + tuple(
+            names[t] if isinstance(t, m.Var) else "c:" + t.name
+            for t in a.args) for a in q.body))
+
+    return min(rendered(p) for p in permutations(variables))
 
 
 def with_equality_axioms(program: GroundProgram,

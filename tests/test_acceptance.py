@@ -13,8 +13,7 @@ from oracles import brute_force_minimal_models, enumerate_pattern_space
 from ontominer import model as m
 from ontominer.cli import main
 from ontominer.clausify import clausify
-from ontominer.kbparse import parse_kb
-from ontominer.miner import (KEY, MODE_NOSEM, MODE_SEM, Counts,
+from ontominer.miner import (KEY, MODE_NOSEM, MODE_SEM,
                              MiningConfig, Pattern, PRUNED_NOT_SFREE,
                              PRUNED_UNSAT, SupportEvaluator, Trie, TrieNode,
                              default_bias, is_semantically_free, mine,
@@ -172,7 +171,7 @@ def test_criterion_9_mode_relations(bank_kb, bank_inverse_kb):
         sem = mine(kb, MiningConfig(ref, minsup, 3, MODE_SEM))
         nosem = mine(kb, MiningConfig(ref, minsup, 3, MODE_NOSEM))
         for depth, n in nosem.stats.per_depth.items():
-            s = sem.stats.per_depth.get(depth, Counts())
+            s = sem.stats.per_depth[depth]
             assert s.cand <= n.cand and s.freq <= n.freq, f"{name}, d{depth}"
         ctx = SemanticContext(kb.without_abox())
         sem_qs = [p.query() for p, _ in sem.patterns]

@@ -10,7 +10,7 @@ from ontominer import miner
 from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM, Counts,
                              MiningConfig, Pattern, PRUNED_EQUIVALENT,
                              PRUNED_NOT_SFREE, PRUNED_UNSAT, Trie, TrieNode,
-                             default_bias, is_semantically_free, mine,
+                             is_semantically_free, mine,
                              refine_candidates, semantic_filter, support,
                              trivial_pattern)
 from ontominer.reasoner import SemanticContext
@@ -359,6 +359,17 @@ def test_random_kbs_mine_cleanly():
             for node in res.trie.nodes():
                 for child in node.children:
                     assert child.support <= node.support, f"seed {seed}"
+
+
+def test_stats_rows_do_not_depend_on_the_mode():
+    """Every depth up to the limit gets a row, also one that no candidate
+    reaches: on this seed no sem node at depth 2 is frequent."""
+    kb = random_kb(31)
+    depths = {}
+    for mode in (MODE_SEM, MODE_NOSEM):
+        res = mine(kb, MiningConfig("C0", Fraction(2, 5), 3, mode))
+        depths[mode] = list(res.stats.per_depth)
+    assert depths[MODE_SEM] == depths[MODE_NOSEM] == [1, 2, 3]
 
 
 def test_refinement_yields_distinct_atoms(monkeypatch, bank_kb,

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,15 @@ import pytest
 from genkb import (random_eq_kb_text, random_eq_program, random_kb_text,
                    random_program, usable_kbs)
 from oracles import (brute_force_certain_answers, brute_force_minimal_models,
-                     with_equality_axioms)
+                     permutation_form, with_equality_axioms)
 from ontominer import model as m
+from ontominer import reasoner
 from ontominer.clausify import (ExistsHead, GroundProgram, ProgramRule,
                                 clausify)
 from ontominer.errors import BranchLimitExceeded, InconsistentKB
 from ontominer.kbparse import parse_kb
-from ontominer.miner import MODE_NOSEM, MiningConfig, chase_parts, mine
+from ontominer.miner import (MODE_NOSEM, MODE_SEM, MiningConfig, chase_parts,
+                             mine)
 from ontominer.reasoner import (ChaseConfig, ModelSet, QuerySpec,
                                 SemanticContext, _Chase, answer_query,
                                 canonical_query, cautious_entails, chase,
@@ -504,6 +507,64 @@ def test_canonical_query_invariant_under_renaming(bank_kb):
     assert canonical_query(q1) == canonical_query(q2)
 
 
+def test_canonical_forms_match_permutation_form(monkeypatch, bank_kb):
+    """On every query of a ``bank.kb`` d3 sem run and every pattern mined
+    from genkb KBs, two forms are equal exactly when the permutation forms
+    are."""
+    runs = [(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))]
+    runs += [(kb, MiningConfig("C0", Fraction(2, 5), 3, mode))
+             for _, kb in usable_kbs(10) for mode in (MODE_SEM, MODE_NOSEM)]
+    queries = []
+
+    def spy(q):
+        queries.append(q)
+        return canonical_query(q)
+
+    monkeypatch.setattr(reasoner, "canonical_query", spy)
+    for kb, cfg in runs:
+        queries += [p.query() for p, _ in mine(kb, cfg).patterns]
+    queries = set(queries)
+    ours: dict[tuple, set] = {}
+    theirs: dict[tuple, set] = {}
+    for q in queries:
+        form, reference = canonical_query(q), permutation_form(q)
+        ours.setdefault(form, set()).add(reference)
+        theirs.setdefault(reference, set()).add(form)
+    assert all(len(v) == 1 for v in ours.values())
+    assert all(len(v) == 1 for v in theirs.values())
+    # Renamings do occur: some class holds more than one query.
+    assert len(ours) < len(queries)
+
+
+def test_canonical_form_of_twin_atoms_is_fast():
+    xs = [m.Var(f"x{i}") for i in range(8)]
+    q = QuerySpec(KEY, tuple(m.Atom("r", (KEY, x), m.ROLE) for x in xs))
+    started = time.perf_counter()
+    form = canonical_query.__wrapped__(q)
+    assert time.perf_counter() - started < 0.1
+    shuffled = QuerySpec(KEY, tuple(m.Atom("r", (KEY, x), m.ROLE)
+                                    for x in reversed(xs)))
+    assert canonical_query.__wrapped__(shuffled) == form
+
+
+def test_canonical_form_where_refinement_leaves_cells():
+    """Every variable of a union of directed cycles gets one colour under
+    refinement, so only individualization can tell a 3- and a 4-cycle from
+    a 7-cycle, and only the least leaf makes the form of the 3- and
+    4-cycle independent of which cycle comes first."""
+    def cycles(*lengths):
+        atoms, start = [m.Atom("C", (KEY,), m.CONCEPT)], 0
+        for n in lengths:
+            vs = [m.Var(f"v{start + i}") for i in range(n)]
+            atoms += [m.Atom("r", (vs[i], vs[(i + 1) % n]), m.ROLE)
+                      for i in range(n)]
+            start += n
+        return QuerySpec(KEY, tuple(atoms))
+
+    assert canonical_query(cycles(3, 4)) == canonical_query(cycles(4, 3))
+    assert canonical_query(cycles(3, 4)) != canonical_query(cycles(7))
+
+
 # -- classification -------------------------------------------------------------
 
 def test_bank_taxonomy(bank_kb):
@@ -583,6 +644,62 @@ def test_random_kbs_chase_consistently():
             for j, b in enumerate(ms.models):
                 if i != j:
                     assert not a < b
+
+
+def test_new_constant_reruns_rules_over_thing():
+    """``C(x) :- $top(x)`` must fire again for the skolem constant that
+    the existential rule makes, although no ``C`` atom was added."""
+    kb = parse_kb("(concept A)\n(concept C)\n(concept D)\n(role r)\n"
+                  "(subclass A (some r Thing))\n(subclass Thing C)\n"
+                  "(subclass (some r C) D)\n(instance A a)\n")
+    assert cautious_entails(chase(clausify(kb), kb.abox), A(kb, "D", "a"))
+
+
+def _chase_outcome(program, facts, cfg=ChaseConfig(), extra=frozenset()):
+    run = _Chase(program, facts, cfg, extra)
+    ms = run.run()
+    return (ms.models, ms.individuals, ms.inconsistent, ms.truncated,
+            len(run.skolem_memo))
+
+
+def test_clean_rule_skipping_changes_no_chase(monkeypatch, bank_kb,
+                                              bank_inverse_kb, pat_kb):
+    """Skipping clean rules gives every chase the models, individuals,
+    verdicts and skolem count of the chase that matches every rule each
+    round: on genkb KBs and programs, the demo KBs, and every frozen chase
+    of a ``bank.kb`` d3 sem run."""
+    cases = []
+    for seed in range(200):
+        for label, text in (("kb", random_kb_text(seed)),
+                            ("eq kb", random_eq_kb_text(seed))):
+            kb = parse_kb(text)
+            cases.append((f"{label} {seed}", (clausify(kb), kb.abox)))
+        cases.append((f"program {seed}", random_program(seed)))
+        cases.append((f"eq program {seed}", random_eq_program(seed)))
+    cases += [(name, (clausify(kb), kb.abox)) for name, kb in
+              (("bank", bank_kb), ("bank_inverse", bank_inverse_kb),
+               ("pat", pat_kb))]
+    frozen = []
+
+    def recorded(program, facts, cfg=ChaseConfig(),
+                 extra_individuals=frozenset()):
+        frozen.append((program, list(facts), cfg, extra_individuals))
+        return chase(program, facts, cfg, extra_individuals)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(reasoner, "chase", recorded)
+        mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
+    assert len(frozen) > 100
+    cases += [(f"frozen {i}", args) for i, args in enumerate(frozen)]
+    skipping = [_chase_outcome(*args) for _, args in cases]
+    monkeypatch.setattr(_Chase, "_clean", lambda self, branch, index: False)
+    differing = [name for (name, args), got in zip(cases, skipping)
+                 if _chase_outcome(*args) != got]
+    assert differing == []
+    # The cases exercise skolems, splits and truncation.
+    assert any(got[4] for got in skipping)
+    assert any(len(got[0]) > 1 for got in skipping)
+    assert any(got[3] for got in skipping)
 
 
 def test_chase_fully_deterministic(bank_kb):
