@@ -9,12 +9,11 @@ from .kbparse import load_kb, parse_kb, serialize_kb
 from .clausify import GroundProgram, ProgramRule, clausify, format_program, normalize
 from .miner import (MineResult, MiningConfig, Pattern, RunStats, Trie,
                     TrieNode, mine, refine_candidates, semantic_filter,
-                    support, trivial_pattern)
+                    trivial_pattern)
 from .model import (Atom, CombinedKB, Const, DLRule, Predicate, Var,
                     check_dl_safety, make_dl_safe)
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
-                       Taxonomy, answer_query, cautious_entails, chase,
-                       classify, format_models)
+                       answer_query, cautious_entails, chase, format_models)
 
 __version__ = "0.1.0"
 
@@ -23,9 +22,9 @@ __all__ = [
     "DLRule", "EmptyReferenceConcept", "GroundProgram", "InconsistentKB",
     "MineResult", "MiningConfig", "ModelSet", "OntominerError", "ParseError",
     "Pattern", "Predicate", "ProgramRule", "QuerySpec", "RunStats",
-    "SemanticContext", "Taxonomy", "Trie", "TrieNode", "UnsupportedAxiom",
-    "Var", "answer_query", "cautious_entails", "chase", "check_dl_safety",
-    "classify", "clausify", "format_models", "format_program", "load_kb",
-    "make_dl_safe", "mine", "normalize", "parse_kb", "refine_candidates",
-    "semantic_filter", "serialize_kb", "support", "trivial_pattern",
+    "SemanticContext", "Trie", "TrieNode", "UnsupportedAxiom", "Var",
+    "answer_query", "cautious_entails", "chase", "check_dl_safety",
+    "clausify", "format_models", "format_program", "load_kb", "make_dl_safe",
+    "mine", "normalize", "parse_kb", "refine_candidates", "semantic_filter",
+    "serialize_kb", "trivial_pattern",
 ]

@@ -124,10 +124,6 @@ class GroundProgram:
     individuals: frozenset[str]
     predicates: dict[str, m.Predicate] = field(default_factory=dict)
 
-    def is_plain_datalog(self) -> bool:
-        """No existential heads and no disjunctive heads."""
-        return all(r.is_horn() or r.is_constraint() for r in self.rules)
-
 
 # ---------------------------------------------------------------------------
 # Normalized inclusions

@@ -19,7 +19,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -36,28 +36,17 @@ from .reasoner import ChaseConfig, chase, format_models
 @dataclass
 class RunConfig:
     kb_path: str
-    reference_concept: str
-    minsup: Fraction
-    max_depth: int
-    mode: str = mining.MODE_SEM
-    bias: Optional[tuple[str, ...]] = None
+    mining: mining.MiningConfig
+    chase: ChaseConfig = ChaseConfig()
     out_dir: str = "out"
     covering_complement: bool = False
-    cp_keep_nondl: bool = False
-    skolem_depth: int = 3
-    max_branches: int = 100000
     dump_program: Optional[str] = None
     dump_models: Optional[str] = None
 
 
-def _render_term(t: m.Term) -> str:
-    return t.name
-
-
 def _render_pattern(p: mining.Pattern) -> str:
     atoms = ", ".join(
-        f"{a.pred}({', '.join(_render_term(t) for t in a.args)})"
-        for a in p.atoms)
+        f"{a.pred}({', '.join(t.name for t in a.args)})" for a in p.atoms)
     return f"Q(key) :- {atoms}"
 
 
@@ -90,7 +79,7 @@ def _write_graphml(path: Path, result: mining.MineResult) -> None:
            '  <graph id="trie" edgedefault="directed">']
     nodes = result.trie.nodes()
     for node in nodes:
-        atom = escape(f"{node.atom.pred}({', '.join(_render_term(t) for t in node.atom.args)})")
+        atom = escape(f"{node.atom.pred}({', '.join(t.name for t in node.atom.args)})")
         out.append(f'    <node id="n{node.seq}">')
         out.append(f'      <data key="d0">{atom}</data>')
         out.append(f'      <data key="d1">{float(node.support):.6f}</data>')
@@ -109,16 +98,6 @@ def _write_graphml(path: Path, result: mining.MineResult) -> None:
 
 def _load(cfg: RunConfig) -> m.CombinedKB:
     return kbparse.load_kb(cfg.kb_path, cfg.covering_complement)
-
-
-def _mining_config(cfg: RunConfig, mode: str) -> mining.MiningConfig:
-    return mining.MiningConfig(
-        reference_concept=cfg.reference_concept,
-        minsup=cfg.minsup,
-        max_depth=cfg.max_depth,
-        mode=mode,
-        bias=cfg.bias,
-        cp_keep_nondl=cfg.cp_keep_nondl)
 
 
 # Exit code for each error a run reports as an ``error:`` line.
@@ -143,16 +122,15 @@ def _exit_code_on_error(command):
 def run(cfg: RunConfig) -> int:
     """Mine one configuration and write patterns, stats, and the trie."""
     kb = _load(cfg)
-    chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.dump_program:
         Path(cfg.dump_program).write_text(format_program(clausify(kb)),
                                           encoding="utf-8")
     if cfg.dump_models:
-        ms = chase(clausify(kb), kb.abox, chase_cfg)
+        ms = chase(clausify(kb), kb.abox, cfg.chase)
         Path(cfg.dump_models).write_text(format_models(ms), encoding="utf-8")
-    result = mining.mine(kb, _mining_config(cfg, cfg.mode), chase_cfg)
+    result = mining.mine(kb, cfg.mining, cfg.chase)
     _write_patterns(out / "patterns.txt", result)
     _write_stats(out / "stats.csv", result)
     _write_graphml(out / "trie.graphml", result)
@@ -173,10 +151,9 @@ def compare_modes(cfg: RunConfig) -> int:
     candidate/frequent reductions of the non-semantic run over the semantic
     one."""
     kb = _load(cfg)
-    chase_cfg = ChaseConfig(cfg.skolem_depth, cfg.max_branches)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = {mode: mining.mine(kb, _mining_config(cfg, mode), chase_cfg)
+    results = {mode: mining.mine(kb, replace(cfg.mining, mode=mode), cfg.chase)
                for mode in (mining.MODE_SEM, mining.MODE_NOSEM)}
     lines = ["depth,cand_sem,freq_sem,cand_nosem,freq_nosem,"
              "reduction_cand,reduction_freq"]
@@ -224,20 +201,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    minsup = Fraction(args.minsup)
     bias = tuple(s.strip() for s in args.bias.split(",")) if args.bias else None
     return RunConfig(
         kb_path=args.kb,
-        reference_concept=args.ref_concept,
-        minsup=minsup,
-        max_depth=args.max_depth,
-        mode=getattr(args, "mode", mining.MODE_SEM),
-        bias=bias,
+        mining=mining.MiningConfig(
+            reference_concept=args.ref_concept,
+            minsup=Fraction(args.minsup),
+            max_depth=args.max_depth,
+            mode=getattr(args, "mode", mining.MODE_SEM),
+            bias=bias,
+            cp_keep_nondl=args.cp_keep_nondl),
+        chase=ChaseConfig(args.skolem_depth, args.max_branches),
         out_dir=args.out,
         covering_complement=args.covering_complement,
-        cp_keep_nondl=args.cp_keep_nondl,
-        skolem_depth=args.skolem_depth,
-        max_branches=args.max_branches,
         dump_program=args.dump_program,
         dump_models=args.dump_models)
 

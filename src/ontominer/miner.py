@@ -276,12 +276,6 @@ class SupportEvaluator:
                         len(self.reference_extension))
 
 
-def support(kb: m.CombinedKB, q: Pattern,
-            cfg: ChaseConfig = ChaseConfig()) -> Fraction:
-    """Answer-set ratio of the pattern against its reference query."""
-    return SupportEvaluator(chase_parts(kb, cfg), q.atoms[0].pred).support(q)
-
-
 def default_bias(kb: m.CombinedKB,
                  parts: Sequence[ModelSet]) -> list[m.Predicate]:
     """Declaration order, restricted to predicates with any extension."""

@@ -179,9 +179,6 @@ class RoleExpr:
     name: str
     inverse: bool = False
 
-    def inv(self) -> "RoleExpr":
-        return RoleExpr(self.name, not self.inverse)
-
     def __str__(self) -> str:
         return f"(inv {self.name})" if self.inverse else self.name
 
@@ -320,16 +317,12 @@ def check_dl_safety(rule: DLRule) -> bool:
     O atoms count as non-DL.  Constants need no cover, so a ground rule is
     vacuously safe.
     """
-    covered: set[Var] = set()
-    for atom in rule.body:
-        if not atom.is_dl():
-            covered.update(atom.variables())
-    return all(v in covered for v in rule.variables())
+    return make_dl_safe(rule) is rule
 
 
 def make_dl_safe(rule: DLRule) -> DLRule:
     """Append O(v) for each variable not already covered by a non-DL body
-    atom.  Idempotent; already-safe rules come back unchanged."""
+    atom.  Idempotent; a safe rule comes back as the same object."""
     covered: set[Var] = set()
     for atom in rule.body:
         if not atom.is_dl():

@@ -776,51 +776,6 @@ class SemanticContext:
         return frozenset(common)
 
 
-# ---------------------------------------------------------------------------
-# Classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Taxonomy:
-    """Entailed subsumption over concept and role names:
-    ``concept_subsumers[A]`` holds every B with A subsumed-by B (A != B),
-    and ``role_subsumers`` likewise for roles."""
-
-    concept_subsumers: dict[str, frozenset[str]]
-    role_subsumers: dict[str, frozenset[str]]
-
-
-def classify(kb: m.CombinedKB, cfg: ChaseConfig = ChaseConfig()) -> Taxonomy:
-    """Compute the concept and role taxonomies by freeze-and-entail tests:
-    A is subsumed by B iff asserting A on a fresh named constant makes B
-    cautiously entailed.  Unsatisfiable names subsume nothing here; their
-    patterns die at the satisfiability test anyway."""
-    program = clausify(kb.without_abox())
-    c0, c1 = m.Const("$cls0"), m.Const("$cls1")
-    concepts = sorted(p.name for p in kb.predicates.values()
-                      if p.kind == m.CONCEPT)
-    roles = sorted(p.name for p in kb.predicates.values() if p.kind == m.ROLE)
-    concept_subsumers: dict[str, frozenset[str]] = {}
-    for a in concepts:
-        ms = chase(program, [m.Atom(a, (c0,), m.CONCEPT)], cfg)
-        if ms.inconsistent:
-            concept_subsumers[a] = frozenset()
-            continue
-        concept_subsumers[a] = frozenset(
-            b for b in concepts
-            if b != a and cautious_entails(ms, m.Atom(b, (c0,), m.CONCEPT)))
-    role_subsumers: dict[str, frozenset[str]] = {}
-    for r in roles:
-        ms = chase(program, [m.Atom(r, (c0, c1), m.ROLE)], cfg)
-        if ms.inconsistent:
-            role_subsumers[r] = frozenset()
-            continue
-        role_subsumers[r] = frozenset(
-            s for s in roles
-            if s != r and cautious_entails(ms, m.Atom(s, (c0, c1), m.ROLE)))
-    return Taxonomy(concept_subsumers, role_subsumers)
-
-
 def format_models(ms: ModelSet) -> str:
     """One atom per line, lexicographic by predicate then arguments; models
     separated by ``---`` lines."""

@@ -9,10 +9,10 @@ from ontominer.kbparse import parse_kb
 from ontominer import miner
 from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM, Counts,
                              MiningConfig, Pattern, PRUNED_EQUIVALENT,
-                             PRUNED_NOT_SFREE, PRUNED_UNSAT, Trie, TrieNode,
-                             is_semantically_free, mine,
-                             refine_candidates, semantic_filter, support,
-                             trivial_pattern)
+                             PRUNED_NOT_SFREE, PRUNED_UNSAT, SupportEvaluator,
+                             Trie, TrieNode, chase_parts,
+                             is_semantically_free, mine, refine_candidates,
+                             semantic_filter, trivial_pattern)
 from ontominer.reasoner import SemanticContext
 
 X1, X2 = m.Var("x1"), m.Var("x2")
@@ -145,6 +145,11 @@ def test_signature_keeps_only_key_positions():
 
 
 # -- support ----------------------------------------------------------------------
+
+def support(kb, pattern):
+    reference = pattern.atoms[0].pred
+    return SupportEvaluator(chase_parts(kb), reference).support(pattern)
+
 
 def test_support_of_reference_query(bank_kb):
     assert support(bank_kb, trivial_pattern("Client")) == 1
