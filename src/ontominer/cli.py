@@ -128,6 +128,14 @@ def run(cfg: RunConfig) -> int:
         Path(cfg.dump_program).write_text(format_program(clausify(kb)),
                                           encoding="utf-8")
     if cfg.dump_models:
+        # The single chase's model count is the product of the parts'.
+        count = math.prod(len(ms.models)
+                          for ms in mining.chase_parts(kb, cfg.chase))
+        if count > cfg.chase.max_branches:
+            raise BranchLimitExceeded(
+                f"--dump-models would chase the whole KB into {count} "
+                f"models, the product of its parts' model counts, more than "
+                f"--max-branches {cfg.chase.max_branches}")
         ms = chase(clausify(kb), kb.abox, cfg.chase)
         Path(cfg.dump_models).write_text(format_models(ms), encoding="utf-8")
     result = mining.mine(kb, cfg.mining, cfg.chase)

@@ -51,7 +51,8 @@ from . import model as m
 from .clausify import clausify
 from .errors import EmptyReferenceConcept, InconsistentKB
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
-                       answer_query, chase, split_abox)
+                       answer_query, chase, compile_query, index_model,
+                       is_certain_answer, split_abox)
 
 log = logging.getLogger(__name__)
 
@@ -249,13 +250,21 @@ class SupportEvaluator:
     with the reference atom and every atom is linked to ``key``, so each of
     its matches lies inside one part, and its certain answers are the union
     of each part's; parts without a reference instance add none and are
-    dropped."""
+    dropped.  Each kept part's models are indexed once, here; ``answers``
+    compiles a pattern once and tests each of a part's reference instances,
+    bound to ``key``, against that part's models only."""
 
     def __init__(self, parts: Sequence[ModelSet], reference_concept: str):
         self.reference_concept = reference_concept
         ref = QuerySpec(KEY, (m.Atom(reference_concept, (KEY,), m.CONCEPT),))
         extensions = [answer_query(ms, ref) for ms in parts]
-        self.parts = tuple(ms for ms, ext in zip(parts, extensions) if ext)
+        kept = [(ms, ext) for ms, ext in zip(parts, extensions) if ext]
+        self.parts = tuple(ms for ms, _ in kept)
+        # Per kept part: ``is_certain_answer``'s arguments after the key,
+        # and the keys to test.
+        self._indexed = [((tuple(index_model(model) for model in ms.models),
+                           frozenset(ms.individuals), ms.individuals),
+                          sorted(ext)) for ms, ext in kept]
         self.reference_extension = frozenset().union(*extensions)
         if not self.reference_extension:
             raise EmptyReferenceConcept(
@@ -269,7 +278,9 @@ class SupportEvaluator:
             raise ValueError(f"support needs a pattern that starts with "
                              f"{self.reference_concept}(?key) and is "
                              f"connected to key: {pattern}")
-        return frozenset().union(*(answer_query(ms, q) for ms in self.parts))
+        query = compile_query(q)
+        return frozenset(key for models, keys in self._indexed for key in keys
+                         if is_certain_answer(query, key, *models))
 
     def support(self, pattern: Pattern) -> Fraction:
         return Fraction(len(self.answers(pattern)),

@@ -23,6 +23,10 @@ Saturated consistent branches are projected to atoms over named constants
 and reduced to subset-minimal representatives.  Cautious entailment is
 membership in every remaining model; a query answer must have a grounding
 over named individuals in every model (the per-model witness may differ).
+``answer_query`` compiles the query (``compile_query``), indexes each model
+by predicate and keeps the keys that match in the first model and, bound,
+in every other (``is_certain_answer``).  Support evaluation and containment
+call those helpers directly, to compile once or to test one key.
 
 ``split_abox`` cuts a KB into parts that share no constant when no rule can
 join them; the miner chases each part on its own and never builds the
@@ -36,11 +40,12 @@ run against the intensional part of the KB (ground facts removed).
 ``canonical_query`` gives queries equal up to renaming one form, exactly
 and at any size, by colour refinement and individualization.
 
-The chase and ``answer_query`` are functions of their inputs, but two
+The chase and query answering are functions of their inputs, but two
 things keep state.  ``canonical_query`` memoizes into a process-global
 ``lru_cache``, so a second mining run in one process finds its forms cached
 and runs faster; time each run in a process of its own.  Each
-``SemanticContext`` keeps an unlocked memo of frozen chases (see there).
+``SemanticContext`` keeps an unlocked memo of frozen chases (see there) and
+no index of their models; ``SupportEvaluator`` keeps its parts' indexes.
 """
 
 from __future__ import annotations
@@ -584,11 +589,9 @@ def cautious_entails(ms: ModelSet, atom: m.Atom) -> bool:
 # Query answering
 # ---------------------------------------------------------------------------
 
-def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
-    """Certain answers: individuals that can ground ``key`` in every model,
-    with all variables bound to the named individuals of ``ms``."""
-    if ms.inconsistent:
-        raise InconsistentKB("query answering undefined: KB is inconsistent")
+def compile_query(q: QuerySpec) -> tuple[tuple, int]:
+    """The body of ``q`` compiled for ``_match`` with ``key`` as variable 0,
+    and the count of its other variables."""
     varmap = {q.key: 0}
     body = [compile_atom(a, varmap) for a in q.body]
     # DL-safety holds for every variable that matches a model atom (see
@@ -596,25 +599,46 @@ def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
     # once the body is satisfied.
     if not any(("v", 0) in slots for _, slots in body):
         body.append((m.O_PRED, (("v", 0),)))
-    body = tuple(body)
-    individuals = frozenset(ms.individuals)
-    free = [None] * (len(varmap) - 1)
-    result: Optional[frozenset[str]] = None
-    for model in ms.models:
-        index: dict[str, list] = {}
-        for atom in model:
+    return tuple(body), len(varmap) - 1
+
+
+def index_model(model: frozenset, preds: Optional[set] = None) -> dict:
+    """The atoms of ``model`` by predicate, only those of ``preds`` if given."""
+    index: dict[str, list] = {}
+    for atom in model:
+        if preds is None or atom[0] in preds:
             index.setdefault(atom[0], []).append(atom)
-        # Models hold no $top atoms, and query bodies none either.
-        args = (index, (), individuals, ms.individuals, body, 0)
-        if result is None:
-            result = frozenset(b[0] for b in _match(*args, [None] + free))
-        else:
-            # Only the keys still certain need a test, and one match each.
-            result = frozenset(k for k in result if next(
-                _match(*args, [k] + free), None) is not None)
-        if not result:
-            return frozenset()
-    return result if result is not None else frozenset()
+    return index
+
+
+def is_certain_answer(query: tuple[tuple, int], key: str,
+                      indexes: Iterable[dict], named: frozenset,
+                      individuals: Sequence[str]) -> bool:
+    """True iff each model in ``indexes`` matches the compiled ``query``
+    with ``key`` bound; ``named`` and ``individuals`` (sorted) are the
+    individuals of the models' set."""
+    body, free = query
+    # Models hold no $top atoms, and query bodies none either.
+    return all(next(_match(index, (), named, individuals, body, 0,
+                           [key] + [None] * free), None) is not None
+               for index in indexes)
+
+
+def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
+    """Certain answers: individuals that can ground ``key`` in every model,
+    with all variables bound to the named individuals of ``ms``.  The keys
+    that match in the first model are tested on the others."""
+    if ms.inconsistent:
+        raise InconsistentKB("query answering undefined: KB is inconsistent")
+    query = compile_query(q)
+    body, free = query
+    indexes = [index_model(model, {pred for pred, _ in body})
+               for model in ms.models]
+    named = frozenset(ms.individuals)
+    keys = {b[0] for index in indexes[:1] for b in _match(
+        index, (), named, ms.individuals, body, 0, [None] * (free + 1))}
+    return frozenset(k for k in keys if is_certain_answer(
+        query, k, indexes[1:], named, ms.individuals))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +763,13 @@ class SemanticContext:
         if ms.inconsistent:
             raise InconsistentKB(
                 "frozen query body is inconsistent with the terminology")
-        return "$q0" in answer_query(ms, q1)
+        # No index is kept on memoized model sets: it would hold every
+        # frozen chase's atoms twice.
+        query = compile_query(q1)
+        preds = {pred for pred, _ in query[0]}
+        return is_certain_answer(
+            query, "$q0", (index_model(model, preds) for model in ms.models),
+            frozenset(ms.individuals), ms.individuals)
 
     def satisfiable(self, q: QuerySpec) -> bool:
         return not self._frozen_chase(q, canonical_query(q)).inconsistent

@@ -13,7 +13,7 @@ from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM, Counts,
                              Trie, TrieNode, chase_parts,
                              is_semantically_free, mine, refine_candidates,
                              semantic_filter, trivial_pattern)
-from ontominer.reasoner import SemanticContext
+from ontominer.reasoner import SemanticContext, answer_query
 
 X1, X2 = m.Var("x1"), m.Var("x2")
 
@@ -447,6 +447,27 @@ def test_signature_index_matches_full_scan_on_bank(request, kb_name, mode):
     kb = request.getfixturevalue(kb_name)
     cfg = MiningConfig("Client", Fraction(1, 2), 3, mode)
     assert _outcome(mine(kb, cfg)) == _outcome(_full_scan(kb, cfg))
+
+
+@pytest.mark.parametrize("kb_name", ["bank_kb", "bank_inverse_kb"])
+def test_containment_matches_answer_query(monkeypatch, request, kb_name):
+    """Each containment test of a sem run asks whether the frozen key is a
+    certain answer; the reference is whether it is among all of them."""
+    contains = SemanticContext._contains
+    calls = []
+
+    def spy(self, q1, q2, form2):
+        result = contains(self, q1, q2, form2)
+        calls.append((self, q1, q2, form2, result))
+        return result
+
+    monkeypatch.setattr(SemanticContext, "_contains", spy)
+    mine(request.getfixturevalue(kb_name),
+         MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
+    assert {result for *_, result in calls} == {True, False}
+    for ctx, q1, q2, form2, result in calls:
+        ms = ctx._frozen_chase(q2, form2)
+        assert result == ("$q0" in answer_query(ms, q1)), f"{q1} >= {q2}"
 
 
 def test_mining_twice_in_one_process_is_identical(bank_kb):

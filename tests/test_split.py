@@ -2,7 +2,8 @@
 
 Each part is chased on its own and support is the union of each part's
 certain answers; these tests compare both against the single chase of the
-whole KB, which builds the product of the parts' models.
+whole KB, which builds the product of the parts' models, and support also
+against the union of ``answer_query`` over the parts.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 from genkb import (disjoint_copies, random_eq_kb_text, random_kb_text,
                    random_program)
-from ontominer import model as m
+from ontominer import cli, model as m
 from ontominer.cli import main
 from ontominer.clausify import GroundProgram, clausify
 from ontominer.errors import BranchLimitExceeded, EmptyReferenceConcept
@@ -51,10 +52,16 @@ def factoring_differs(program, facts) -> list[str]:
     return out
 
 
+def per_part_union(evaluator: SupportEvaluator, q: QuerySpec) -> frozenset:
+    """The answers of ``q`` as the union of ``answer_query`` over the
+    evaluator's parts, each model set indexed and ``q`` compiled anew."""
+    return frozenset().union(*(answer_query(ms, q) for ms in evaluator.parts))
+
+
 def support_differs(kb, ref: str) -> list[str]:
     """Patterns of a nosem depth-3 run, and every candidate refined from
-    its nodes, whose answers over the parts differ from the single
-    chase's."""
+    its nodes, whose answers over the parts differ from the single chase's
+    or from ``per_part_union``."""
     whole = chase(clausify(kb), kb.abox)
     parts = chase_parts(kb)
     ref_query = trivial_pattern(ref).query()
@@ -74,7 +81,8 @@ def support_differs(kb, ref: str) -> list[str]:
             patterns += [node.pattern.with_atom(a)
                          for a in refine_candidates(node, bias)]
         out += [str(p) for p in patterns
-                if evaluator.answers(p) != answer_query(whole, p.query())]
+                if not evaluator.answers(p) == per_part_union(
+                    evaluator, p.query()) == answer_query(whole, p.query())]
     return out
 
 
@@ -122,7 +130,8 @@ def test_random_kbs_factor(text_of):
 
 @pytest.mark.parametrize("name,copies", [("bank.kb", 1),
                                           ("bank_inverse.kb", 1),
-                                          ("bank.kb", 2), ("bank.kb", 3)])
+                                          ("bank.kb", 2), ("bank.kb", 3),
+                                          ("bank.kb", 4)])
 def test_bank_kbs_factor(name, copies):
     text = (DEMOS / name).read_text(encoding="utf-8")
     kb = parse_kb(disjoint_copies(text, copies) if copies > 1 else text)
@@ -216,6 +225,24 @@ def test_sixteen_bank_copies_mine_like_one(bank_path, tmp_path, capsys):
     assert mine_files(copies, tmp_path / "x16") == base
     assert f"full chase: 48 parts, 80 models, {4 ** 16} in their product" in \
         capsys.readouterr().out
+
+
+def test_dump_models_stops_before_the_product(bank_path, tmp_path, capsys,
+                                             monkeypatch):
+    copies = tmp_path / "bankx16.kb"
+    copies.write_text(disjoint_copies(open(bank_path, encoding="utf-8").read(),
+                                      16), encoding="utf-8")
+    monkeypatch.setattr(cli, "chase", lambda *args: pytest.fail(
+        "the whole KB was chased"))
+    dump = tmp_path / "models.txt"
+    assert main(["mine", "--kb", str(copies), "--ref-concept", "Client",
+                 "--minsup", "1/2", "--max-depth", "1", "--mode", "nosem",
+                 "--out", str(tmp_path / "out"), "--dump-models",
+                 str(dump)]) == 4
+    err = capsys.readouterr().err
+    assert f"into {4 ** 16} models, the product of its parts' model " \
+        "counts, more than --max-branches 100000" in err
+    assert not dump.exists()
 
 
 TWO_WIDE = ["(concept A)", "(concept B)", "(range r (or A B))",
