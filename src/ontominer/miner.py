@@ -21,7 +21,10 @@ Children of a node arise two ways:
 Support is evaluated against the full KB chased once per ABox part
 (``reasoner.split_abox``): a pattern's certain answers are the union of each
 part's, since every atom of a pattern is linked to ``key`` and so each of
-its matches lies inside one part.
+its matches lies inside one part.  It is evaluated incrementally along the
+trie: a node's matches (per answer and model, every binding of the
+pattern's variables) are extended by the candidate's one atom, and a key
+that fails a node is never tested below it.
 
 Every candidate takes one path in every mode: it gets a verdict, its
 support is evaluated only if the verdict is ``accepted``, and
@@ -45,14 +48,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import model as m
-from .clausify import clausify
+from .clausify import clausify, compile_atom
 from .errors import EmptyReferenceConcept, InconsistentKB
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
-                       answer_query, chase, compile_query, index_model,
-                       is_certain_answer, split_abox)
+                       answer_query, chase, extend_bindings, index_model,
+                       split_abox)
 
 log = logging.getLogger(__name__)
 
@@ -220,6 +223,10 @@ class MiningConfig:
             raise ValueError("max_depth must be at least 1")
         if self.mode not in (MODE_SEM, MODE_NOSEM):
             raise ValueError(f"unknown mode {self.mode!r}")
+        repeated = [n for i, n in enumerate(self.bias or ())
+                    if n in self.bias[:i]]
+        if repeated:
+            raise ValueError(f"predicate {repeated[0]!r} repeated in bias")
 
 
 @dataclass
@@ -245,14 +252,35 @@ def chase_parts(kb: m.CombinedKB,
     return parts
 
 
+class Matches(NamedTuple):
+    """A pattern's matches: ``varmap`` numbers its variables (``key`` is 0)
+    and ``bindings`` maps each answer to the distinct bindings of those
+    variables in each model of the answer's part, or to None when only the
+    answers were asked for."""
+
+    varmap: dict[m.Var, int]
+    bindings: dict[str, Optional[tuple[list[tuple], ...]]]
+
+
 class SupportEvaluator:
     """Support over the model sets of the ABox parts.  A pattern starts
     with the reference atom and every atom is linked to ``key``, so each of
     its matches lies inside one part, and its certain answers are the union
     of each part's; parts without a reference instance add none and are
-    dropped.  Each kept part's models are indexed once, here; ``answers``
-    compiles a pattern once and tests each of a part's reference instances,
-    bound to ``key``, against that part's models only."""
+    dropped.  Each kept part's models are indexed once, here, and models
+    that hold the same atoms of a predicate share one list of them.
+
+    Support is evaluated along the trie.  ``start`` gives the reference
+    pattern's matches, the binding ``(key,)`` in every model of each
+    reference key's part, and ``extend`` adds one atom: a key stays an
+    answer iff, in every model of its part, some binding of the parent
+    extends over that atom.  Every binding of the parent is kept, so this
+    decides what matching the child's whole body would, and only the new
+    atom is compiled and matched, once per distinct pair of a binding list
+    and a shared atom list, so models that agree share their bindings.
+    The miner holds the matches of the patterns on the trie path it is
+    expanding, so the live match sets grow with those patterns' matches;
+    ``answers`` folds ``extend`` over a pattern's atoms."""
 
     def __init__(self, parts: Sequence[ModelSet], reference_concept: str):
         self.reference_concept = reference_concept
@@ -260,31 +288,72 @@ class SupportEvaluator:
         extensions = [answer_query(ms, ref) for ms in parts]
         kept = [(ms, ext) for ms, ext in zip(parts, extensions) if ext]
         self.parts = tuple(ms for ms, _ in kept)
-        # Per kept part: ``is_certain_answer``'s arguments after the key,
-        # and the keys to test.
-        self._indexed = [((tuple(index_model(model) for model in ms.models),
-                           frozenset(ms.individuals), ms.individuals),
-                          sorted(ext)) for ms, ext in kept]
+        # Per reference key, its part's model indexes and individuals.
+        shared: dict[frozenset, list] = {}
+        self._part_of: dict[str, tuple] = {}
+        for ms, ext in kept:
+            indexes = tuple({pred: shared.setdefault(frozenset(atoms), atoms)
+                             for pred, atoms in index_model(model).items()}
+                            for model in ms.models)
+            part = (indexes, frozenset(ms.individuals), ms.individuals)
+            self._part_of.update((key, part) for key in sorted(ext))
         self.reference_extension = frozenset().union(*extensions)
         if not self.reference_extension:
             raise EmptyReferenceConcept(
                 f"concept '{reference_concept}' has no cautious instances")
 
+    def start(self) -> Matches:
+        """The matches of the reference pattern."""
+        return Matches({KEY: 0}, {
+            key: ([(key,)],) * len(indexes)
+            for key, (indexes, _, _) in self._part_of.items()})
+
+    def extend(self, matches: Matches, atom: m.Atom,
+               keep: bool = False) -> Matches:
+        """The matches of the pattern of ``matches`` plus ``atom``: with
+        ``keep``, every extension of every binding; otherwise only the
+        answers, found by stopping at the first extension in each model."""
+        varmap = dict(matches.varmap)
+        step = compile_atom(atom, varmap)
+        nvars = len(varmap)
+        out = {}
+        for key, per_model in matches.bindings.items():
+            indexes, named, individuals = self._part_of[key]
+            found = []
+            # The same bindings extend alike over the same shared atoms.
+            done: dict[tuple[int, int], list[tuple]] = {}
+            for index, bindings in zip(indexes, per_model):
+                pair = (id(bindings), id(index.get(step[0])))
+                if pair not in done:
+                    done[pair] = extend_bindings(step, nvars, bindings, index,
+                                                 named, individuals,
+                                                 first=not keep)
+                ext = done[pair]
+                if not ext:
+                    break
+                found.append(ext)
+            else:
+                out[key] = tuple(found) if keep else None
+        return Matches(varmap, out)
+
     def answers(self, pattern: Pattern) -> frozenset[str]:
-        q = pattern.query()
         first = pattern.atoms[0]
         if (first.pred, first.args) != (self.reference_concept, (KEY,)) \
-                or not q.is_connected():
+                or not pattern.query().is_connected():
             raise ValueError(f"support needs a pattern that starts with "
                              f"{self.reference_concept}(?key) and is "
                              f"connected to key: {pattern}")
-        query = compile_query(q)
-        return frozenset(key for models, keys in self._indexed for key in keys
-                         if is_certain_answer(query, key, *models))
+        matches = self.start()
+        for atom in pattern.atoms[1:]:
+            matches = self.extend(matches, atom, keep=True)
+        return frozenset(matches.bindings)
 
     def support(self, pattern: Pattern) -> Fraction:
-        return Fraction(len(self.answers(pattern)),
-                        len(self.reference_extension))
+        return self.fraction(self.answers(pattern))
+
+    def fraction(self, answers) -> Fraction:
+        """The share of the reference extension that ``answers`` covers."""
+        return Fraction(len(answers), len(self.reference_extension))
 
 
 def default_bias(kb: m.CombinedKB,
@@ -327,28 +396,29 @@ def _make_atom(pred: m.Predicate, combo: tuple, start_index: int) -> m.Atom:
     return m.Atom(pred.name, tuple(args), pred.kind)
 
 
-def _dependent_atoms(pattern: Pattern, bias: Sequence[m.Predicate]) -> list[m.Atom]:
-    last = pattern.atoms[-1]
-    earlier = {v for a in pattern.atoms[:-1] for v in a.variables()}
-    last_vars = list(last.variables())
-    new_vars = [v for v in last_vars if v not in earlier]
+def _dependent_atoms(pattern: Pattern, bias: Sequence[m.Predicate],
+                     parent_vars: set[m.Var], start: int) -> list[m.Atom]:
+    last_vars = list(pattern.atoms[-1].variables())
+    new_vars = [v for v in last_vars if v not in parent_vars]
     if not new_vars:
         return []
-    start = pattern.next_var_index()
+    placements: dict[int, list[tuple]] = {}
     out = []
     for pred in bias:
-        for combo in _placements(pred.arity, last_vars, new_vars):
+        if pred.arity not in placements:
+            placements[pred.arity] = _placements(pred.arity, last_vars,
+                                                 new_vars)
+        for combo in placements[pred.arity]:
             atom = _make_atom(pred, combo, start)
             if atom not in pattern.atoms:
                 out.append(atom)
     return out
 
 
-def _copy_right_brother(node: TrieNode, brother: TrieNode) -> Optional[m.Atom]:
-    pattern = node.pattern
-    parent_vars = {v for a in pattern.atoms[:-1] for v in a.variables()}
+def _copy_right_brother(pattern: Pattern, parent_vars: set[m.Var],
+                        start: int, brother: TrieNode) -> Optional[m.Atom]:
     mapping: dict[m.Var, m.Term] = {}
-    nxt = pattern.next_var_index()
+    nxt = start
     args: list[m.Term] = []
     for t in brother.atom.args:
         if isinstance(t, m.Var) and t not in parent_vars:
@@ -369,9 +439,12 @@ def refine_candidates(node: TrieNode,
     are pairwise distinct: each dependent atom holds a variable that the
     node's atom introduced and no copy does, and copies number their fresh
     variables in order of first occurrence."""
-    out = _dependent_atoms(node.pattern, bias)
+    pattern = node.pattern
+    parent_vars = {v for a in pattern.atoms[:-1] for v in a.variables()}
+    start = pattern.next_var_index()
+    out = _dependent_atoms(pattern, bias, parent_vars, start)
     for brother in node.right_brothers():
-        atom = _copy_right_brother(node, brother)
+        atom = _copy_right_brother(pattern, parent_vars, start, brother)
         if atom is not None:
             out.append(atom)
     return out
@@ -434,7 +507,8 @@ class _Miner:
         else:
             unknown = [n for n in cfg.bias if n not in kb.predicates]
             if unknown:
-                raise ValueError(f"unknown predicates in bias: {', '.join(unknown)}")
+                raise ValueError("unknown predicates in bias: "
+                                 + ", ".join(map(repr, unknown)))
             self.bias = [kb.predicates[n] for n in cfg.bias]
 
     def run(self) -> MineResult:
@@ -445,11 +519,15 @@ class _Miner:
         for depth in range(1, self.cfg.max_depth + 1):
             self.stats.at(depth)
         self.stats.at(1).record(ACCEPTED, True)  # the reference pattern
-        self.expand_node(root, trie)
+        self.expand_node(root, trie, self.evaluator.start())
         patterns = [(n.pattern, n.support) for n in trie.nodes()]
         return MineResult(trie, patterns, self.stats)
 
-    def expand_node(self, node: TrieNode, trie: Trie) -> None:
+    def expand_node(self, node: TrieNode, trie: Trie,
+                    matches: Matches) -> None:
+        """Refine ``node``, whose pattern has ``matches``, and recurse into
+        its frequent children, building each child's matches just before
+        expanding it and only if it is expanded."""
         if node.depth >= self.cfg.max_depth:
             return
         counts = self.stats.at(node.depth + 1)
@@ -461,7 +539,8 @@ class _Miner:
                 verdict = semantic_filter(child_pattern, self.ctx, trie)
             frequent = False
             if verdict == ACCEPTED:
-                child_support = self.evaluator.support(child_pattern)
+                child_support = self.evaluator.fraction(
+                    self.evaluator.extend(matches, atom).bindings)
                 frequent = child_support >= self.cfg.minsup
                 if frequent:
                     trie.register(node, TrieNode(atom, child_pattern,
@@ -469,8 +548,10 @@ class _Miner:
                                                  node.depth + 1, node))
             counts.record(verdict, frequent)
             node.expansion.record(verdict, frequent)
-        for child in node.children:
-            self.expand_node(child, trie)
+        if node.depth + 1 < self.cfg.max_depth:
+            for child in node.children:
+                self.expand_node(child, trie, self.evaluator.extend(
+                    matches, child.atom, keep=True))
 
 
 def mine(kb: m.CombinedKB, cfg: MiningConfig,

@@ -25,8 +25,9 @@ membership in every remaining model; a query answer must have a grounding
 over named individuals in every model (the per-model witness may differ).
 ``answer_query`` compiles the query (``compile_query``), indexes each model
 by predicate and keeps the keys that match in the first model and, bound,
-in every other (``is_certain_answer``).  Support evaluation and containment
-call those helpers directly, to compile once or to test one key.
+in every other (``is_certain_answer``).  Containment calls those helpers
+directly, to test one key.  Support evaluation extends a pattern's bindings
+in one model by one compiled atom at a time (``extend_bindings``).
 
 ``split_abox`` cuts a KB into parts that share no constant when no rule can
 join them; the miner chases each part on its own and never builds the
@@ -622,6 +623,24 @@ def is_certain_answer(query: tuple[tuple, int], key: str,
     return all(next(_match(index, (), named, individuals, body, 0,
                            [key] + [None] * free), None) is not None
                for index in indexes)
+
+
+def extend_bindings(atom: tuple, nvars: int, bindings: Iterable[tuple],
+                    index: dict, named: frozenset, individuals: Sequence[str],
+                    first: bool = False) -> list[tuple]:
+    """The bindings of ``nvars`` variables that extend one of ``bindings``
+    (each over the variables numbered before ``atom``'s new ones) over the
+    compiled ``atom`` in one model's ``index``; only the first with
+    ``first``.  Extensions of distinct bindings are distinct."""
+    body = (atom,)
+    out = []
+    for parent in bindings:
+        for b in _match(index, (), named, individuals, body, 0,
+                        [*parent] + [None] * (nvars - len(parent))):
+            out.append(tuple(b))
+            if first:
+                return out
+    return out
 
 
 def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:

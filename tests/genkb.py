@@ -114,6 +114,22 @@ def disjoint_copies(text: str, k: int) -> str:
     return "\n".join(kept) + "\n"
 
 
+def fan_out(text: str, clients: int = 3, items: int = 30) -> str:
+    """The KB's terminology and rules with a new ABox: clients ``c0``..
+    in a ``relative`` ring, each owning ``items`` items that are
+    alternately an ``Account`` and a ``CreditCard``.  For ``bank.kb`` every
+    client's patterns fan out over its items."""
+    kept = [line.strip() for line in text.splitlines()
+            if not line.strip().startswith(_ABOX_HEADS)]
+    for c in range(clients):
+        kept.append(f"(related relative c{c} c{(c + 1) % clients})")
+        for i in range(items):
+            kept.append(f"(related isOwnerOf c{c} c{c}_i{i})")
+            kept.append(f"(instance {('Account', 'CreditCard')[i % 2]} "
+                        f"c{c}_i{i})")
+    return "\n".join(kept) + "\n"
+
+
 def random_kb(seed: int, cfg: ChaseConfig = ChaseConfig()) -> Optional[m.CombinedKB]:
     """A consistent random KB whose concept C0 has cautious instances, or
     None when this seed draws an unusable one."""

@@ -91,6 +91,23 @@ def test_unknown_bias_predicate_is_an_error(bank_path, tmp_path):
                               bias="Client,NoSuchThing")) == 1
 
 
+def test_repeated_bias_predicate_is_an_error(tmp_path, capsys):
+    # Rejected while the arguments are read: the KB file does not exist.
+    assert run_cli(*mine_args(str(tmp_path / "missing.kb"), tmp_path / "o",
+                              max_depth=2, mode="nosem",
+                              bias="Client,isOwnerOf,isOwnerOf")) == 1
+    assert capsys.readouterr().err == \
+        "error: predicate 'isOwnerOf' repeated in bias\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_bias_entry_is_shown(bank_path, tmp_path, capsys):
+    assert run_cli(*mine_args(bank_path, tmp_path / "o", max_depth=2,
+                              bias="Client,,isOwnerOf")) == 1
+    assert "error: unknown predicates in bias: ''\n" in \
+        capsys.readouterr().err
+
+
 def test_pattern_lines_match_freq_counters(bank_path, tmp_path):
     out = tmp_path / "counts"
     assert run_cli(*mine_args(bank_path, out)) == 0

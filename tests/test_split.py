@@ -8,19 +8,21 @@ against the union of ``answer_query`` over the parts.
 
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from genkb import (disjoint_copies, random_eq_kb_text, random_kb_text,
-                   random_program)
+from genkb import (disjoint_copies, fan_out, random_eq_kb_text,
+                   random_kb_text, random_program)
 from ontominer import cli, model as m
 from ontominer.cli import main
 from ontominer.clausify import GroundProgram, clausify
 from ontominer.errors import BranchLimitExceeded, EmptyReferenceConcept
 from ontominer.kbparse import parse_kb
-from ontominer.miner import (KEY, MODE_NOSEM, MiningConfig, Pattern,
-                             SupportEvaluator, chase_parts, default_bias, mine,
-                             refine_candidates, trivial_pattern)
+from ontominer.miner import (KEY, MODE_NOSEM, MODE_SEM, MiningConfig,
+                             Pattern, SupportEvaluator, chase_parts,
+                             default_bias, mine, refine_candidates,
+                             trivial_pattern)
 from ontominer.reasoner import (ChaseConfig, QuerySpec, answer_query, chase,
                                 split_abox)
 
@@ -59,9 +61,11 @@ def per_part_union(evaluator: SupportEvaluator, q: QuerySpec) -> frozenset:
 
 
 def support_differs(kb, ref: str) -> list[str]:
-    """Patterns of a nosem depth-3 run, and every candidate refined from
-    its nodes, whose answers over the parts differ from the single chase's
-    or from ``per_part_union``."""
+    """Patterns whose support or answers over the parts differ from the
+    single chase's or from ``per_part_union``: every node of a nosem and of
+    a sem depth-3 run, by the support the run gave it, and every candidate
+    refined from the nosem run's nodes, by ``extend`` with and without
+    keeping the bindings."""
     whole = chase(clausify(kb), kb.abox)
     parts = chase_parts(kb)
     ref_query = trivial_pattern(ref).query()
@@ -72,17 +76,40 @@ def support_differs(kb, ref: str) -> list[str]:
     evaluator = SupportEvaluator(parts, ref)
     if evaluator.reference_extension != answer_query(whole, ref_query):
         return [str(ref_query)]
-    result = mine(kb, MiningConfig(ref, Fraction(1, 1000), 3, MODE_NOSEM))
+    references: dict[Pattern, Optional[frozenset]] = {}
+
+    def reference(p: Pattern) -> Optional[frozenset]:
+        """The answers of ``p`` if both references agree, else None."""
+        if p not in references:
+            union = per_part_union(evaluator, p.query())
+            references[p] = union if union == answer_query(
+                whole, p.query()) else None
+        return references[p]
+
     bias = default_bias(kb, parts)
     out = []
-    for node in result.trie.nodes():
-        patterns = [node.pattern]
-        if node.depth < 3:
-            patterns += [node.pattern.with_atom(a)
-                         for a in refine_candidates(node, bias)]
-        out += [str(p) for p in patterns
-                if not evaluator.answers(p) == per_part_union(
-                    evaluator, p.query()) == answer_query(whole, p.query())]
+    for mode in (MODE_NOSEM, MODE_SEM):
+        result = mine(kb, MiningConfig(ref, Fraction(1, 1000), 3, mode))
+        for node in result.trie.nodes():
+            expected = reference(node.pattern)
+            if expected is None or node.support != \
+                    evaluator.fraction(expected):
+                out.append(f"{mode} {node.pattern}")
+            if mode == MODE_SEM or node.depth == 3:
+                continue
+            if evaluator.answers(node.pattern) != expected:
+                out.append(f"answers of {node.pattern}")
+            matches = evaluator.start()
+            for atom in node.pattern.atoms[1:]:
+                matches = evaluator.extend(matches, atom, keep=True)
+            for atom in refine_candidates(node, bias):
+                expected = reference(node.pattern.with_atom(atom))
+                if not (expected is not None
+                        and set(evaluator.extend(matches, atom).bindings)
+                        == set(evaluator.extend(matches, atom,
+                                                keep=True).bindings)
+                        == expected):
+                    out.append(str(node.pattern.with_atom(atom)))
     return out
 
 
@@ -138,6 +165,14 @@ def test_bank_kbs_factor(name, copies):
     program = clausify(kb)
     assert len(split_abox(program, kb.abox)) == 3 * copies
     assert factoring_differs(program, kb.abox) == []
+    assert support_differs(kb, "Client") == []
+
+
+def test_fan_out_support(bank_path):
+    # One part of eight models, where each client's isOwnerOf(key, x1) has
+    # 30 bindings in every model.
+    kb = parse_kb(fan_out(open(bank_path, encoding="utf-8").read()))
+    assert [len(ms.models) for ms in chase_parts(kb)] == [8]
     assert support_differs(kb, "Client") == []
 
 
