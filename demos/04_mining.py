@@ -44,10 +44,10 @@ for pattern, support in sem.patterns[:8]:
 
 # A pattern only the non-semantic run keeps: its last atom is implied by
 # the range of isOwnerOf, so the semantic run never evaluates it.
-sem_set = {p.atoms for p, _ in sem.patterns}
+sem_set = {p for p, _ in sem.patterns}
 print("\nnon-semantic-only patterns (first three):")
 shown = 0
 for pattern, support in nosem.patterns:
-    if pattern.atoms not in sem_set and shown < 3:
+    if pattern not in sem_set and shown < 3:
         print(f"  {float(support):.3f}  {pattern}")
         shown += 1

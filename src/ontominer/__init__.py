@@ -7,9 +7,8 @@ from .errors import (BranchLimitExceeded, EmptyReferenceConcept,
                      UnsupportedAxiom)
 from .kbparse import load_kb, parse_kb, serialize_kb
 from .clausify import GroundProgram, ProgramRule, clausify, format_program, normalize
-from .miner import (MineResult, MiningConfig, Pattern, RunStats, Trie,
-                    TrieNode, mine, refine_candidates, semantic_filter,
-                    trivial_pattern)
+from .miner import (MineResult, MiningConfig, RunStats, Trie, TrieNode, mine,
+                    refine_candidates, semantic_filter, trivial_pattern)
 from .model import (Atom, CombinedKB, Const, DLRule, Predicate, Var,
                     check_dl_safety, make_dl_safe)
 from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
@@ -21,7 +20,7 @@ __all__ = [
     "Atom", "BranchLimitExceeded", "ChaseConfig", "CombinedKB", "Const",
     "DLRule", "EmptyReferenceConcept", "GroundProgram", "InconsistentKB",
     "MineResult", "MiningConfig", "ModelSet", "OntominerError", "ParseError",
-    "Pattern", "Predicate", "ProgramRule", "QuerySpec", "RunStats",
+    "Predicate", "ProgramRule", "QuerySpec", "RunStats",
     "SemanticContext", "Trie", "TrieNode", "UnsupportedAxiom", "Var",
     "answer_query", "cautious_entails", "chase", "check_dl_safety",
     "clausify", "format_models", "format_program", "load_kb", "make_dl_safe",

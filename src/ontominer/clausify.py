@@ -217,13 +217,9 @@ class _Normalizer:
             elif isinstance(c, m.And):
                 work[0:0] = [c.left, c.right]
             elif isinstance(c, m.Or):
-                rest = list(work)
-                return [([c.left] + rest + [m.Atomic(n) for n in concepts]
-                         + [m.Some(r, m.Atomic(f) if f else m.TOP) for r, f in exists],
-                         list(right)),
-                        ([c.right] + rest + [m.Atomic(n) for n in concepts]
-                         + [m.Some(r, m.Atomic(f) if f else m.TOP) for r, f in exists],
-                         list(right))]
+                rest = work + self._conjuncts(concepts, exists)
+                return [([c.left] + rest, list(right)),
+                        ([c.right] + rest, list(right))]
             elif isinstance(c, m.Not):
                 right = list(right) + [m.Atomic(c.name)]
             elif isinstance(c, m.Some):
@@ -261,26 +257,16 @@ class _Normalizer:
             elif isinstance(c, m.Or):
                 work[0:0] = [(at, c.left), (at, c.right)]
             elif isinstance(c, m.And):
-                base_left = ([m.Atomic(n) for n in concepts]
-                             + [m.Some(r, m.Atomic(f) if f else m.TOP)
-                                for r, f in exists])
                 if at != 0 or succ_roles:
                     # Conjunction nested where splitting is no longer simple;
                     # name it and defer.
-                    aux = self.fresh_aux()
-                    self.add_gci(m.Atomic(aux), c)
-                    work[0:0] = [(at, m.Atomic(aux))]
+                    self._defer(c, at, work)
                     continue
-                rest = [d for d in work]
-                remaining = [self._undo(d) for d in disjuncts] + \
-                            [self._undo_pending(p) for p in rest]
-                return [(base_left, remaining + [c.left]),
-                        (base_left, remaining + [c.right])]
+                return self._split(concepts, exists, disjuncts, work,
+                                   c.left, c.right)
             elif isinstance(c, m.Not):
                 if at != 0:
-                    aux = self.fresh_aux()
-                    self.add_gci(m.Atomic(aux), c)
-                    work[0:0] = [(at, m.Atomic(aux))]
+                    self._defer(c, at, work)
                 else:
                     concepts.append(c.name)
             elif isinstance(c, m.Some):
@@ -298,25 +284,14 @@ class _Normalizer:
                 if d not in disjuncts:
                     disjuncts.append(d)
             elif isinstance(c, m.All):
-                if at != 0:
-                    aux = self.fresh_aux()
-                    self.add_gci(m.Atomic(aux), c)
-                    work[0:0] = [(at, m.Atomic(aux))]
-                    continue
                 filler = c.filler
+                if at != 0 or (isinstance(filler, m.And) and succ_roles):
+                    self._defer(c, at, work)
+                    continue
                 if isinstance(filler, m.And):
-                    base_left = ([m.Atomic(n) for n in concepts]
-                                 + [m.Some(r, m.Atomic(f) if f else m.TOP)
-                                    for r, f in exists])
-                    if succ_roles:
-                        aux = self.fresh_aux()
-                        self.add_gci(m.Atomic(aux), c)
-                        work[0:0] = [(0, m.Atomic(aux))]
-                        continue
-                    remaining = [self._undo(d) for d in disjuncts] + \
-                                [self._undo_pending(p) for p in work]
-                    return [(base_left, remaining + [m.All(c.role, filler.left)]),
-                            (base_left, remaining + [m.All(c.role, filler.right)])]
+                    return self._split(concepts, exists, disjuncts, work,
+                                       m.All(c.role, filler.left),
+                                       m.All(c.role, filler.right))
                 succ_roles.append(c.role)
                 work[0:0] = [(len(succ_roles), filler)]
             else:
@@ -329,17 +304,33 @@ class _Normalizer:
         return []
 
     @staticmethod
-    def _undo(d: RhsDisjunct) -> m.ConceptExpr:
+    def _conjuncts(concepts: list[str], exists: list) -> list:
+        """The left side read so far, as concepts again."""
+        return ([m.Atomic(n) for n in concepts]
+                + [m.Some(r, m.Atomic(f) if f else m.TOP) for r, f in exists])
+
+    def _defer(self, c: m.ConceptExpr, at: int, work: list) -> None:
+        """Name ``c`` by a fresh auxiliary concept, define it, and put the
+        name back at the front of ``work``."""
+        aux = self.fresh_aux()
+        self.add_gci(m.Atomic(aux), c)
+        work.insert(0, (at, m.Atomic(aux)))
+
+    def _split(self, concepts: list[str], exists: list,
+               disjuncts: list[RhsDisjunct], work: list,
+               first: m.ConceptExpr,
+               second: m.ConceptExpr) -> list[tuple[list, list]]:
+        """Split a conjunction on the right side: the left side read so far
+        implies the disjuncts read so far or the pending ones or ``first``,
+        and likewise with ``second``."""
+        left = self._conjuncts(concepts, exists)
         # Splitting only happens before any value restriction was opened, so
         # every accumulated disjunct still sits at the subject.
-        assert d[1] == 0
-        if d[0] == "atomic":
-            return m.Atomic(d[2])
-        return m.Some(d[2], m.Atomic(d[3]) if d[3] else m.TOP)
-
-    @staticmethod
-    def _undo_pending(p: tuple) -> m.ConceptExpr:
-        return p[1]
+        assert all(d[1] == 0 for d in disjuncts)
+        remaining = [m.Atomic(d[2]) if d[0] == "atomic"
+                     else m.Some(d[2], m.Atomic(d[3]) if d[3] else m.TOP)
+                     for d in disjuncts] + [c for _, c in work]
+        return [(left, remaining + [first]), (left, remaining + [second])]
 
     @staticmethod
     def _tautology(inc: NormalInclusion) -> bool:

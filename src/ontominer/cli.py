@@ -30,7 +30,7 @@ from . import model as m
 from .clausify import clausify, format_program
 from .errors import (BranchLimitExceeded, EmptyReferenceConcept,
                      InconsistentKB, ParseError, UnsupportedAxiom)
-from .reasoner import ChaseConfig, chase, format_models
+from .reasoner import ChaseConfig, QuerySpec, chase, format_models
 
 
 @dataclass
@@ -44,15 +44,15 @@ class RunConfig:
     dump_models: Optional[str] = None
 
 
-def _render_pattern(p: mining.Pattern) -> str:
+def _render_pattern(p: QuerySpec) -> str:
     atoms = ", ".join(
-        f"{a.pred}({', '.join(t.name for t in a.args)})" for a in p.atoms)
+        f"{a.pred}({', '.join(t.name for t in a.args)})" for a in p.body)
     return f"Q(key) :- {atoms}"
 
 
 def _write_patterns(path: Path, result: mining.MineResult) -> None:
     entries = sorted(
-        ((len(p.atoms), -s, i, p, s)
+        ((len(p.body), -s, i, p, s)
          for i, (p, s) in enumerate(result.patterns)),
         key=lambda e: e[:3])
     lines = [f"{float(s):.6f}\t{_render_pattern(p)}" for _, _, _, p, s in entries]

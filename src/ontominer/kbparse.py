@@ -207,6 +207,10 @@ class _Parser:
             return m.Atom(m.O_PRED, args, m.OPRED)
         if name in _RESERVED:
             raise self.err(f"'{name}' cannot be used as a predicate")
+        return self._atom(name, args)
+
+    def _atom(self, name: str, args: tuple[m.Term, ...]) -> m.Atom:
+        """An atom of ``name``, declared a non-DL predicate on first use."""
         pred = self.predicates.get(name)
         if pred is None:
             pred = self.declare(name, len(args), m.NONDL)
@@ -358,13 +362,7 @@ class _Parser:
             raise self.err("(fact NAME constant+)")
         name = self._name(rest[0], "predicate")
         args = tuple(self._ground_const(t) for t in rest[1:])
-        pred = self.predicates.get(name)
-        if pred is None:
-            pred = self.declare(name, len(args), m.NONDL)
-        elif pred.arity != len(args):
-            raise self.err(
-                f"arity mismatch for '{name}': declared {pred.arity}, got {len(args)}")
-        self.abox.append(m.Atom(name, args, pred.kind))
+        self.abox.append(self._atom(name, args))
 
     # -- driver --------------------------------------------------------------
 

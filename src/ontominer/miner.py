@@ -1,11 +1,11 @@
 """Trie-based frequent pattern search over a combined knowledge base.
 
-Patterns are conjunctive DL-safe queries about a reference concept: the
-first atom applies the reference concept to the distinguished variable
-``key``, every other atom is linked to ``key`` through shared variables,
-and every variable implicitly carries an O atom (so answers range over
-named individuals only).  Each trie node holds one atom; the root-to-node
-path spells out the pattern.
+A pattern is a conjunctive DL-safe query about a reference concept: a
+``QuerySpec`` with key ``KEY`` whose first atom is the reference atom,
+which applies the reference concept to ``key``.  Every other atom is
+linked to ``key`` through shared variables, and every variable implicitly
+carries an O atom (so answers range over named individuals only).  Each
+trie node holds one atom; the root-to-node path spells out the pattern.
 
 Children of a node arise two ways:
 
@@ -44,6 +44,7 @@ trie shape, and outputs are reproducible byte for byte.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,33 +73,9 @@ PRUNED_EQUIVALENT = "pruned-equivalent"
 _FRESH = None  # placement slot marker
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """An ordered conjunction of atoms; atoms[0] is the reference atom."""
-
-    atoms: tuple[m.Atom, ...]
-
-    def __post_init__(self):
-        assert self.atoms, "a pattern has at least the reference atom"
-
-    def query(self) -> QuerySpec:
-        return QuerySpec(KEY, self.atoms)
-
-    def variables(self) -> tuple[m.Var, ...]:
-        return self.query().variables()
-
-    def next_var_index(self) -> int:
-        return len(self.variables())  # key plus x1..xN, densely numbered
-
-    def with_atom(self, atom: m.Atom) -> "Pattern":
-        return Pattern(self.atoms + (atom,))
-
-    def __str__(self) -> str:
-        return f"Q(?key) :- {', '.join(str(a) for a in self.atoms)}"
-
-
-def trivial_pattern(reference_concept: str) -> Pattern:
-    return Pattern((m.Atom(reference_concept, (KEY,), m.CONCEPT),))
+def trivial_pattern(reference_concept: str) -> QuerySpec:
+    """The reference pattern: the reference atom alone."""
+    return QuerySpec(KEY, (m.Atom(reference_concept, (KEY,), m.CONCEPT),))
 
 
 # How many of the semantic tests (satisfiability, semantic freeness,
@@ -143,14 +120,12 @@ class RunStats:
 
 
 class TrieNode:
-    """One atom of a pattern; the root-to-node path is the pattern itself.
-    ``expansion`` snapshots the candidate counters of this node's own
-    child-construction step."""
+    """One atom of a pattern; the root-to-node path is the pattern itself."""
 
     __slots__ = ("atom", "pattern", "support", "depth", "parent", "children",
-                 "expansion", "seq")
+                 "seq")
 
-    def __init__(self, atom: m.Atom, pattern: Pattern, support: Fraction,
+    def __init__(self, atom: m.Atom, pattern: QuerySpec, support: Fraction,
                  depth: int, parent: Optional["TrieNode"]):
         self.atom = atom
         self.pattern = pattern
@@ -158,7 +133,6 @@ class TrieNode:
         self.depth = depth
         self.parent = parent
         self.children: list[TrieNode] = []
-        self.expansion = Counts()
         self.seq = 0
 
     def right_brothers(self) -> list["TrieNode"]:
@@ -199,7 +173,7 @@ class Trie:
         query has none."""
         for node in self.unindexed:
             self.by_signature.setdefault(
-                ctx.signature(node.pattern.query()), []).append(node)
+                ctx.signature(node.pattern), []).append(node)
         self.unindexed = []
         if signature is None:
             return self.nodes()
@@ -232,7 +206,7 @@ class MiningConfig:
 @dataclass
 class MineResult:
     trie: Trie
-    patterns: list[tuple[Pattern, Fraction]]
+    patterns: list[tuple[QuerySpec, Fraction]]
     stats: RunStats
 
 
@@ -283,9 +257,8 @@ class SupportEvaluator:
     ``answers`` folds ``extend`` over a pattern's atoms."""
 
     def __init__(self, parts: Sequence[ModelSet], reference_concept: str):
-        self.reference_concept = reference_concept
-        ref = QuerySpec(KEY, (m.Atom(reference_concept, (KEY,), m.CONCEPT),))
-        extensions = [answer_query(ms, ref) for ms in parts]
+        self.reference = trivial_pattern(reference_concept)
+        extensions = [answer_query(ms, self.reference) for ms in parts]
         kept = [(ms, ext) for ms, ext in zip(parts, extensions) if ext]
         self.parts = tuple(ms for ms, _ in kept)
         # Per reference key, its part's model indexes and individuals.
@@ -336,19 +309,19 @@ class SupportEvaluator:
                 out[key] = tuple(found) if keep else None
         return Matches(varmap, out)
 
-    def answers(self, pattern: Pattern) -> frozenset[str]:
-        first = pattern.atoms[0]
-        if (first.pred, first.args) != (self.reference_concept, (KEY,)) \
-                or not pattern.query().is_connected():
+    def answers(self, pattern: QuerySpec) -> frozenset[str]:
+        ref = self.reference
+        if pattern.key != ref.key or pattern.body[:1] != ref.body \
+                or not pattern.is_connected():
             raise ValueError(f"support needs a pattern that starts with "
-                             f"{self.reference_concept}(?key) and is "
-                             f"connected to key: {pattern}")
+                             f"{ref.body[0]} and is connected to key: "
+                             f"{pattern}")
         matches = self.start()
-        for atom in pattern.atoms[1:]:
+        for atom in pattern.body[1:]:
             matches = self.extend(matches, atom, keep=True)
         return frozenset(matches.bindings)
 
-    def support(self, pattern: Pattern) -> Fraction:
+    def support(self, pattern: QuerySpec) -> Fraction:
         return self.fraction(self.answers(pattern))
 
     def fraction(self, answers) -> Fraction:
@@ -396,9 +369,9 @@ def _make_atom(pred: m.Predicate, combo: tuple, start_index: int) -> m.Atom:
     return m.Atom(pred.name, tuple(args), pred.kind)
 
 
-def _dependent_atoms(pattern: Pattern, bias: Sequence[m.Predicate],
+def _dependent_atoms(pattern: QuerySpec, bias: Sequence[m.Predicate],
                      parent_vars: set[m.Var], start: int) -> list[m.Atom]:
-    last_vars = list(pattern.atoms[-1].variables())
+    last_vars = list(pattern.body[-1].variables())
     new_vars = [v for v in last_vars if v not in parent_vars]
     if not new_vars:
         return []
@@ -410,12 +383,12 @@ def _dependent_atoms(pattern: Pattern, bias: Sequence[m.Predicate],
                                                  new_vars)
         for combo in placements[pred.arity]:
             atom = _make_atom(pred, combo, start)
-            if atom not in pattern.atoms:
+            if atom not in pattern.body:
                 out.append(atom)
     return out
 
 
-def _copy_right_brother(pattern: Pattern, parent_vars: set[m.Var],
+def _copy_right_brother(pattern: QuerySpec, parent_vars: set[m.Var],
                         start: int, brother: TrieNode) -> Optional[m.Atom]:
     mapping: dict[m.Var, m.Term] = {}
     nxt = start
@@ -429,7 +402,7 @@ def _copy_right_brother(pattern: Pattern, parent_vars: set[m.Var],
         else:
             args.append(t)
     atom = m.Atom(brother.atom.pred, tuple(args), brother.atom.kind)
-    return None if atom in pattern.atoms else atom
+    return None if atom in pattern.body else atom
 
 
 def refine_candidates(node: TrieNode,
@@ -440,8 +413,8 @@ def refine_candidates(node: TrieNode,
     node's atom introduced and no copy does, and copies number their fresh
     variables in order of first occurrence."""
     pattern = node.pattern
-    parent_vars = {v for a in pattern.atoms[:-1] for v in a.variables()}
-    start = pattern.next_var_index()
+    parent_vars = {v for a in pattern.body[:-1] for v in a.variables()}
+    start = len(pattern.variables())  # key plus x1..xN, densely numbered
     out = _dependent_atoms(pattern, bias, parent_vars, start)
     for brother in node.right_brothers():
         atom = _copy_right_brother(pattern, parent_vars, start, brother)
@@ -454,11 +427,11 @@ def refine_candidates(node: TrieNode,
 # Semantic tests
 # ---------------------------------------------------------------------------
 
-def is_semantically_free(pattern: Pattern, ctx: SemanticContext) -> bool:
+def is_semantically_free(pattern: QuerySpec, ctx: SemanticContext) -> bool:
     """No atom is deducible from the others, tested with the obligatory
     reference atom removed first (so the reference atom itself can never be
     the redundant one)."""
-    reduced = pattern.atoms[1:]
+    reduced = pattern.body[1:]
     for i in range(len(reduced)):
         without = reduced[:i] + reduced[i + 1:]
         if ctx.subsumes(QuerySpec(KEY, reduced), QuerySpec(KEY, without)):
@@ -466,16 +439,16 @@ def is_semantically_free(pattern: Pattern, ctx: SemanticContext) -> bool:
     return True
 
 
-def semantic_filter(pattern: Pattern, ctx: SemanticContext, trie: Trie) -> str:
+def semantic_filter(pattern: QuerySpec, ctx: SemanticContext,
+                    trie: Trie) -> str:
     """Satisfiability, then semantic freeness, then the equivalence scan
     over the trie nodes that share the candidate's signature."""
-    q = pattern.query()
-    if not ctx.satisfiable(q):
+    if not ctx.satisfiable(pattern):
         return PRUNED_UNSAT
     if not is_semantically_free(pattern, ctx):
         return PRUNED_NOT_SFREE
-    for other in trie.equivalence_scan(ctx.signature(q), ctx):
-        if ctx.equivalent(q, other.pattern.query()):
+    for other in trie.equivalence_scan(ctx.signature(pattern), ctx):
+        if ctx.equivalent(pattern, other.pattern):
             return PRUNED_EQUIVALENT
     return ACCEPTED
 
@@ -500,8 +473,14 @@ class _Miner:
             raise EmptyReferenceConcept(
                 f"'{cfg.reference_concept}' is not a known concept")
         self.evaluator = SupportEvaluator(parts, cfg.reference_concept)
-        kb_cp = kb.keeping_nondl_facts() if cfg.cp_keep_nondl else kb.without_abox()
-        self.ctx = SemanticContext(kb_cp, chase_cfg)
+        # A frequent pattern has at least this many answers.
+        self.min_answers = math.ceil(
+            cfg.minsup * len(self.evaluator.reference_extension))
+        self.ctx: Optional[SemanticContext] = None
+        if cfg.mode == MODE_SEM:
+            kb_cp = (kb.keeping_nondl_facts() if cfg.cp_keep_nondl
+                     else kb.without_abox())
+            self.ctx = SemanticContext(kb_cp, chase_cfg)
         if cfg.bias is None:
             self.bias = default_bias(kb, parts)
         else:
@@ -513,7 +492,7 @@ class _Miner:
 
     def run(self) -> MineResult:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
-        root = TrieNode(root_pattern.atoms[0], root_pattern, Fraction(1), 1, None)
+        root = TrieNode(root_pattern.body[0], root_pattern, Fraction(1), 1, None)
         trie = Trie(root)
         # One row per depth up to the limit, whichever depths get candidates.
         for depth in range(1, self.cfg.max_depth + 1):
@@ -532,22 +511,20 @@ class _Miner:
             return
         counts = self.stats.at(node.depth + 1)
         for atom in refine_candidates(node, self.bias):
-            child_pattern = node.pattern.with_atom(atom)
+            child_pattern = QuerySpec(KEY, node.pattern.body + (atom,))
             if self.cfg.mode == MODE_NOSEM:
                 verdict = ACCEPTED
             else:
                 verdict = semantic_filter(child_pattern, self.ctx, trie)
             frequent = False
             if verdict == ACCEPTED:
-                child_support = self.evaluator.fraction(
-                    self.evaluator.extend(matches, atom).bindings)
-                frequent = child_support >= self.cfg.minsup
+                answers = self.evaluator.extend(matches, atom).bindings
+                frequent = len(answers) >= self.min_answers
                 if frequent:
-                    trie.register(node, TrieNode(atom, child_pattern,
-                                                 child_support,
-                                                 node.depth + 1, node))
+                    trie.register(node, TrieNode(
+                        atom, child_pattern, self.evaluator.fraction(answers),
+                        node.depth + 1, node))
             counts.record(verdict, frequent)
-            node.expansion.record(verdict, frequent)
         if node.depth + 1 < self.cfg.max_depth:
             for child in node.children:
                 self.expand_node(child, trie, self.evaluator.extend(
@@ -561,8 +538,8 @@ def mine(kb: m.CombinedKB, cfg: MiningConfig,
     Chases each ABox part of the full KB once for support evaluation
     (``chase_parts``; ``result.stats`` records each part's model count and
     how many parts were truncated), builds the intensional context once for
-    the semantic tests, seeds the trie with the trivial pattern, and expands
-    depth-first.
+    the semantic tests in ``sem`` mode, seeds the trie with the trivial
+    pattern, and expands depth-first.
     """
     started = time.perf_counter()
     miner = _Miner(kb, cfg, chase_cfg)

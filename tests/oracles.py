@@ -11,7 +11,7 @@ from typing import Sequence
 
 from ontominer import model as m
 from ontominer.clausify import GroundProgram, ProgramRule
-from ontominer.miner import KEY, Pattern, _make_atom, _placements
+from ontominer.miner import KEY, _make_atom, _placements
 from ontominer.reasoner import ModelSet, QuerySpec, canonical_query
 
 
@@ -160,19 +160,19 @@ def brute_force_certain_answers(ms: ModelSet, individuals: frozenset[str],
 
 def enumerate_pattern_space(reference_concept: str,
                             bias: Sequence[m.Predicate],
-                            max_depth: int) -> list[Pattern]:
+                            max_depth: int) -> list[QuerySpec]:
     """Every pattern reachable under the declarative bias, irrespective of
     search order: starting from the reference atom, repeatedly append an
     atom placing variables of one earlier atom (at least one of which that
     atom introduced), fresh variables elsewhere.  Deduplicated up to
     variable renaming and atom order."""
-    root = Pattern((m.Atom(reference_concept, (KEY,), m.CONCEPT),))
-    results: dict[tuple, Pattern] = {canonical_query(root.query()): root}
-    frontier: list[tuple[Pattern, dict[m.Var, int]]] = [(root, {KEY: 0})]
+    root = QuerySpec(KEY, (m.Atom(reference_concept, (KEY,), m.CONCEPT),))
+    results: dict[tuple, QuerySpec] = {canonical_query(root): root}
+    frontier: list[tuple[QuerySpec, dict[m.Var, int]]] = [(root, {KEY: 0})]
     for _ in range(max_depth - 1):
-        grown: list[tuple[Pattern, dict[m.Var, int]]] = []
+        grown: list[tuple[QuerySpec, dict[m.Var, int]]] = []
         for pattern, introduced in frontier:
-            for j, anchor in enumerate(pattern.atoms):
+            for j, anchor in enumerate(pattern.body):
                 anchor_vars = list(anchor.variables())
                 new_in_anchor = [v for v in anchor_vars if introduced[v] == j]
                 if not new_in_anchor:
@@ -181,15 +181,15 @@ def enumerate_pattern_space(reference_concept: str,
                     for combo in _placements(pred.arity, anchor_vars,
                                              new_in_anchor):
                         atom = _make_atom(pred, combo,
-                                          pattern.next_var_index())
-                        if atom in pattern.atoms:
+                                          len(pattern.variables()))
+                        if atom in pattern.body:
                             continue
-                        child = pattern.with_atom(atom)
+                        child = QuerySpec(KEY, pattern.body + (atom,))
                         intro = dict(introduced)
                         for v in atom.variables():
-                            intro.setdefault(v, len(child.atoms) - 1)
+                            intro.setdefault(v, len(child.body) - 1)
                         grown.append((child, intro))
-                        key = canonical_query(child.query())
+                        key = canonical_query(child)
                         if key not in results:
                             results[key] = child
         frontier = grown

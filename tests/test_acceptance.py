@@ -14,7 +14,7 @@ from ontominer import model as m
 from ontominer.cli import main
 from ontominer.clausify import clausify
 from ontominer.miner import (KEY, MODE_NOSEM, MODE_SEM,
-                             MiningConfig, Pattern, PRUNED_NOT_SFREE,
+                             MiningConfig, PRUNED_NOT_SFREE,
                              PRUNED_UNSAT, SupportEvaluator, Trie, TrieNode,
                              default_bias, is_semantically_free, mine,
                              semantic_filter, trivial_pattern)
@@ -39,8 +39,9 @@ def test_criterion_1_worked_example(bank_kb):
     ref = QuerySpec(KEY, (A(bank_kb, "Client", KEY),))
     assert len(answer_query(ms, ref)) == 3
     ev = SupportEvaluator((ms,), "Client")
-    q2 = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "isOwnerOf", KEY, X),
-                  A(bank_kb, "p_familyAccount", X, KEY, Z)))
+    q2 = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                         A(bank_kb, "isOwnerOf", KEY, X),
+                         A(bank_kb, "p_familyAccount", X, KEY, Z)))
     assert ev.support(q2) == Fraction(2, 3)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -51,16 +52,16 @@ def test_criterion_2_frequent_set(bank_kb):
     started = time.perf_counter()
     res = mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
     ctx = SemanticContext(bank_kb.without_abox())
-    q_ref = Pattern((A(bank_kb, "Client", KEY),))
-    q1 = q_ref.with_atom(A(bank_kb, "isOwnerOf", KEY, X))
-    q2 = q1.with_atom(A(bank_kb, "p_familyAccount", X, KEY, Z))
-    q3 = q1.with_atom(A(bank_kb, "isOwnerOf", KEY, Y))
-    q4 = q1.with_atom(A(bank_kb, "CreditCard", X))
-    mined = [p.query() for p, _ in res.patterns]
+    q_ref = QuerySpec(KEY, (A(bank_kb, "Client", KEY),))
+    q1 = QuerySpec(KEY, q_ref.body + (A(bank_kb, "isOwnerOf", KEY, X),))
+    q2 = QuerySpec(KEY, q1.body + (A(bank_kb, "p_familyAccount", X, KEY, Z),))
+    q3 = QuerySpec(KEY, q1.body + (A(bank_kb, "isOwnerOf", KEY, Y),))
+    q4 = QuerySpec(KEY, q1.body + (A(bank_kb, "CreditCard", X),))
+    mined = [p for p, _ in res.patterns]
     for wanted in (q_ref, q1, q2, q3):
-        assert any(ctx.equivalent(wanted.query(), got) for got in mined), \
+        assert any(ctx.equivalent(wanted, got) for got in mined), \
             f"no representative for {wanted}"
-    assert not any(ctx.equivalent(q4.query(), got) for got in mined)
+    assert not any(ctx.equivalent(q4, got) for got in mined)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     ok(2, f"frequent set matches the worked example, {elapsed:.2f}s")
@@ -87,23 +88,24 @@ def test_criterion_5_pruning_behaviors(bank_kb, bank_inverse_kb):
     ctx = SemanticContext(bank_kb.without_abox())
     trie = Trie(TrieNode(A(bank_kb, "Account", KEY),
                          trivial_pattern("Account"), Fraction(1), 1, None))
-    unsat = Pattern((A(bank_kb, "Account", KEY), A(bank_kb, "CreditCard", KEY)))
+    unsat = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
+                            A(bank_kb, "CreditCard", KEY)))
     assert semantic_filter(unsat, ctx, trie) == PRUNED_UNSAT
-    not_sfree = Pattern((A(bank_kb, "Account", KEY),
-                         A(bank_kb, "isOwnerOf", X, KEY),
-                         A(bank_kb, "Client", X)))
+    not_sfree = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
+                                A(bank_kb, "isOwnerOf", X, KEY),
+                                A(bank_kb, "Client", X)))
     assert semantic_filter(not_sfree, ctx, trie) == PRUNED_NOT_SFREE
-    exempt = Pattern((A(bank_kb, "Client", KEY),
-                      A(bank_kb, "isOwnerOf", KEY, X)))
+    exempt = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                             A(bank_kb, "isOwnerOf", KEY, X)))
     assert is_semantically_free(exempt, ctx)
 
     inv_ctx = SemanticContext(bank_inverse_kb.without_abox())
     res = mine(bank_inverse_kb,
                MiningConfig("Client", Fraction(1, 2), 2, MODE_SEM))
-    wanted = Pattern((A(bank_inverse_kb, "Client", KEY),
-                      A(bank_inverse_kb, "isOwnerOf", KEY, X)))
+    wanted = QuerySpec(KEY, (A(bank_inverse_kb, "Client", KEY),
+                             A(bank_inverse_kb, "isOwnerOf", KEY, X)))
     reps = [p for p, _ in res.patterns
-            if inv_ctx.equivalent(p.query(), wanted.query())]
+            if inv_ctx.equivalent(p, wanted)]
     assert len(reps) == 1
     ok(5, "unsat / s-freeness / reference exemption / inverse collapse")
 
@@ -136,10 +138,10 @@ def test_criterion_7_completeness_oracle():
         mined = [p for p, _ in
                  mine(kb, MiningConfig("C0", minsup, 3, MODE_SEM)).patterns]
         for p in oracle:
-            assert any(ctx.equivalent(p.query(), q.query()) for q in mined), \
+            assert any(ctx.equivalent(p, q) for q in mined), \
                 f"seed {seed}: trie misses {p}"
         for q in mined:
-            assert any(ctx.equivalent(p.query(), q.query()) for p in oracle), \
+            assert any(ctx.equivalent(p, q) for p in oracle), \
                 f"seed {seed}: trie invents {q}"
         checked += len(oracle)
     elapsed = time.perf_counter() - started
@@ -174,8 +176,8 @@ def test_criterion_9_mode_relations(bank_kb, bank_inverse_kb):
             s = sem.stats.per_depth[depth]
             assert s.cand <= n.cand and s.freq <= n.freq, f"{name}, d{depth}"
         ctx = SemanticContext(kb.without_abox())
-        sem_qs = [p.query() for p, _ in sem.patterns]
-        nosem_qs = [p.query() for p, _ in nosem.patterns]
+        sem_qs = [p for p, _ in sem.patterns]
+        nosem_qs = [p for p, _ in nosem.patterns]
         for q in nosem_qs:
             assert any(ctx.equivalent(q, o) for o in sem_qs), \
                 f"{name}: sem loses {q}"

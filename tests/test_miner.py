@@ -8,12 +8,12 @@ from ontominer.errors import EmptyReferenceConcept
 from ontominer.kbparse import parse_kb
 from ontominer import miner
 from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM, Counts,
-                             MiningConfig, Pattern, PRUNED_EQUIVALENT,
+                             MiningConfig, PRUNED_EQUIVALENT,
                              PRUNED_NOT_SFREE, PRUNED_UNSAT, SupportEvaluator,
                              Trie, TrieNode, chase_parts,
                              is_semantically_free, mine, refine_candidates,
                              semantic_filter, trivial_pattern)
-from ontominer.reasoner import SemanticContext, answer_query
+from ontominer.reasoner import QuerySpec, SemanticContext, answer_query
 
 X1, X2 = m.Var("x1"), m.Var("x2")
 
@@ -23,12 +23,16 @@ def A(kb, pred, *terms):
     return m.Atom(pred, args, kb.predicate(pred).kind)
 
 
-def node_for(pattern: Pattern, parent=None) -> TrieNode:
-    return TrieNode(pattern.atoms[-1], pattern, Fraction(1),
-                    len(pattern.atoms), parent)
+def extended(pattern: QuerySpec, atom: m.Atom) -> QuerySpec:
+    return QuerySpec(KEY, pattern.body + (atom,))
 
 
-def fresh_trie(pattern: Pattern) -> tuple[Trie, TrieNode]:
+def node_for(pattern: QuerySpec, parent=None) -> TrieNode:
+    return TrieNode(pattern.body[-1], pattern, Fraction(1),
+                    len(pattern.body), parent)
+
+
+def fresh_trie(pattern: QuerySpec) -> tuple[Trie, TrieNode]:
     root = node_for(pattern)
     return Trie(root), root
 
@@ -54,7 +58,7 @@ def test_dependent_atoms_can_keep_shared_last_atom_variables(bank_kb):
     long as one of them was introduced by it; this is what lets the
     co-ownership pattern appear."""
     trie, root = fresh_trie(trivial_pattern("Client"))
-    pattern = root.pattern.with_atom(A(bank_kb, "isOwnerOf", KEY, X1))
+    pattern = extended(root.pattern, A(bank_kb, "isOwnerOf", KEY, X1))
     node = node_for(pattern, root)
     trie.register(root, node)
     bias = [bank_kb.predicate("p_familyAccount")]
@@ -67,8 +71,10 @@ def test_dependent_atoms_can_keep_shared_last_atom_variables(bank_kb):
 
 def test_right_brother_copy_renames_new_variables(bank_kb):
     trie, root = fresh_trie(trivial_pattern("Client"))
-    left = node_for(root.pattern.with_atom(A(bank_kb, "isOwnerOf", KEY, X1)), root)
-    right = node_for(root.pattern.with_atom(A(bank_kb, "relative", KEY, X1)), root)
+    left = node_for(extended(root.pattern, A(bank_kb, "isOwnerOf", KEY, X1)),
+                    root)
+    right = node_for(extended(root.pattern, A(bank_kb, "relative", KEY, X1)),
+                     root)
     trie.register(root, left)
     trie.register(root, right)
     atoms = refine_candidates(left, [])
@@ -77,9 +83,10 @@ def test_right_brother_copy_renames_new_variables(bank_kb):
 
 def test_leaf_without_new_variables_or_brothers(bank_kb):
     trie, root = fresh_trie(trivial_pattern("Client"))
-    mid = node_for(root.pattern.with_atom(A(bank_kb, "isOwnerOf", KEY, X1)), root)
+    mid = node_for(extended(root.pattern, A(bank_kb, "isOwnerOf", KEY, X1)),
+                   root)
     trie.register(root, mid)
-    leaf_pattern = mid.pattern.with_atom(A(bank_kb, "Account", X1))
+    leaf_pattern = extended(mid.pattern, A(bank_kb, "Account", X1))
     leaf = node_for(leaf_pattern, mid)
     trie.register(mid, leaf)
     assert refine_candidates(leaf, [bank_kb.predicate("Account")]) == []
@@ -94,29 +101,34 @@ def bank_ctx(bank_kb):
 
 def test_filter_unsatisfiable(bank_kb, bank_ctx):
     trie, _ = fresh_trie(trivial_pattern("Account"))
-    p = Pattern((A(bank_kb, "Account", KEY), A(bank_kb, "CreditCard", KEY)))
+    p = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
+                        A(bank_kb, "CreditCard", KEY)))
     assert semantic_filter(p, bank_ctx, trie) == PRUNED_UNSAT
 
 
 def test_filter_not_s_free(bank_kb, bank_ctx):
     trie, _ = fresh_trie(trivial_pattern("Account"))
-    p = Pattern((A(bank_kb, "Account", KEY), A(bank_kb, "isOwnerOf", X1, KEY),
-                 A(bank_kb, "Client", X1)))
+    p = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
+                        A(bank_kb, "isOwnerOf", X1, KEY),
+                        A(bank_kb, "Client", X1)))
     assert semantic_filter(p, bank_ctx, trie) == PRUNED_NOT_SFREE
 
 
 def test_filter_reference_atom_exempt(bank_kb, bank_ctx):
     trie, _ = fresh_trie(trivial_pattern("Client"))
-    p = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "isOwnerOf", KEY, X1)))
+    p = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                        A(bank_kb, "isOwnerOf", KEY, X1)))
     assert semantic_filter(p, bank_ctx, trie) == ACCEPTED
     assert is_semantically_free(p, bank_ctx)
 
 
 def test_filter_equivalent_against_trie(bank_kb, bank_ctx):
     trie, root = fresh_trie(trivial_pattern("Client"))
-    kept = node_for(root.pattern.with_atom(A(bank_kb, "relative", KEY, X1)), root)
+    kept = node_for(extended(root.pattern, A(bank_kb, "relative", KEY, X1)),
+                    root)
     trie.register(root, kept)
-    p = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "relative", X1, KEY)))
+    p = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                        A(bank_kb, "relative", X1, KEY)))
     assert semantic_filter(p, bank_ctx, trie) == PRUNED_EQUIVALENT
 
 
@@ -134,11 +146,11 @@ def test_signature_keeps_only_key_positions():
     must not tell them apart, or the scan would miss the duplicate."""
     kb = parse_kb(REFLEXIVE)
     ctx = SemanticContext(kb.without_abox())
-    loose = Pattern((A(kb, "C", KEY), A(kb, "r", KEY, X1)))
-    tight = Pattern((A(kb, "C", KEY), A(kb, "r", KEY, KEY)))
-    assert ctx.equivalent(loose.query(), tight.query())
-    assert ctx.signature(loose.query()) is not None
-    assert ctx.signature(loose.query()) == ctx.signature(tight.query())
+    loose = QuerySpec(KEY, (A(kb, "C", KEY), A(kb, "r", KEY, X1)))
+    tight = QuerySpec(KEY, (A(kb, "C", KEY), A(kb, "r", KEY, KEY)))
+    assert ctx.equivalent(loose, tight)
+    assert ctx.signature(loose) is not None
+    assert ctx.signature(loose) == ctx.signature(tight)
     trie, root = fresh_trie(trivial_pattern("C"))
     trie.register(root, node_for(loose, root))
     assert semantic_filter(tight, ctx, trie) == PRUNED_EQUIVALENT
@@ -147,7 +159,7 @@ def test_signature_keeps_only_key_positions():
 # -- support ----------------------------------------------------------------------
 
 def support(kb, pattern):
-    reference = pattern.atoms[0].pred
+    reference = pattern.body[0].pred
     return SupportEvaluator(chase_parts(kb), reference).support(pattern)
 
 
@@ -156,14 +168,16 @@ def test_support_of_reference_query(bank_kb):
 
 
 def test_support_family_account(bank_kb):
-    p = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "isOwnerOf", KEY, X1),
-                 A(bank_kb, "p_familyAccount", X1, KEY, X2)))
+    p = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                        A(bank_kb, "isOwnerOf", KEY, X1),
+                        A(bank_kb, "p_familyAccount", X1, KEY, X2)))
     assert support(bank_kb, p) == Fraction(2, 3)
 
 
 def test_support_credit_card(bank_kb):
-    p = Pattern((A(bank_kb, "Client", KEY), A(bank_kb, "isOwnerOf", KEY, X1),
-                 A(bank_kb, "CreditCard", X1)))
+    p = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                        A(bank_kb, "isOwnerOf", KEY, X1),
+                        A(bank_kb, "CreditCard", X1)))
     assert support(bank_kb, p) == Fraction(1, 3)
 
 
@@ -190,15 +204,15 @@ RESULT_FIXTURES = {MODE_SEM: "sem_result", MODE_NOSEM: "nosem_result"}
 
 def test_example_frequent_set(bank_kb, bank_ctx, sem_result):
     x, y, z = m.Var("x"), m.Var("y"), m.Var("z")
-    q_ref = Pattern((A(bank_kb, "Client", KEY),))
-    q1 = q_ref.with_atom(A(bank_kb, "isOwnerOf", KEY, x))
-    q2 = q1.with_atom(A(bank_kb, "p_familyAccount", x, KEY, z))
-    q3 = q1.with_atom(A(bank_kb, "isOwnerOf", KEY, y))
-    q4 = q1.with_atom(A(bank_kb, "CreditCard", x))
-    mined = [p.query() for p, _ in sem_result.patterns]
+    q_ref = QuerySpec(KEY, (A(bank_kb, "Client", KEY),))
+    q1 = extended(q_ref, A(bank_kb, "isOwnerOf", KEY, x))
+    q2 = extended(q1, A(bank_kb, "p_familyAccount", x, KEY, z))
+    q3 = extended(q1, A(bank_kb, "isOwnerOf", KEY, y))
+    q4 = extended(q1, A(bank_kb, "CreditCard", x))
+    mined = [p for p, _ in sem_result.patterns]
     for wanted in (q_ref, q1, q2, q3):
-        assert any(bank_ctx.equivalent(wanted.query(), got) for got in mined)
-    assert not any(bank_ctx.equivalent(q4.query(), got) for got in mined)
+        assert any(bank_ctx.equivalent(wanted, got) for got in mined)
+    assert not any(bank_ctx.equivalent(q4, got) for got in mined)
 
 
 def test_max_depth_one_returns_only_trivial_pattern(bank_kb):
@@ -210,7 +224,18 @@ def test_max_depth_one_returns_only_trivial_pattern(bank_kb):
 def test_minsup_one_keeps_reference_pattern(bank_kb):
     res = mine(bank_kb, MiningConfig("Client", Fraction(1), 2, MODE_SEM))
     assert all(s == 1 for _, s in res.patterns)
-    assert any(len(p.atoms) == 1 for p, _ in res.patterns)
+    assert any(len(p.body) == 1 for p, _ in res.patterns)
+
+
+@pytest.mark.parametrize("mode", [MODE_SEM, MODE_NOSEM])
+def test_support_equal_to_minsup_is_frequent(bank_kb, mode):
+    """Two of the three clients have a relative: the pattern is kept at
+    minsup 2/3 and dropped at 67/100, just above its support."""
+    relative = "Q(?key) :- Client(?key), relative(?key, ?x1)"
+    for minsup, expected in ((Fraction(2, 3), [Fraction(2, 3)]),
+                             (Fraction(67, 100), [])):
+        res = mine(bank_kb, MiningConfig("Client", minsup, 2, mode))
+        assert [s for p, s in res.patterns if str(p) == relative] == expected
 
 
 def test_unknown_reference_concept(bank_kb):
@@ -260,48 +285,41 @@ def test_edge_supports_monotone(sem_result):
             assert child.support <= node.support
 
 
-def test_expansion_counter_snapshots(sem_result, nosem_result):
-    for result in (sem_result, nosem_result):
-        for node in result.trie.nodes():
-            c = node.expansion
-            assert c.gen >= c.sat >= c.sfree >= c.cand >= c.freq
-            assert c.freq == len(node.children)
-        for depth, counts in result.stats.per_depth.items():
-            if depth == 1:
-                continue
-            parents = [n for n in result.trie.nodes() if n.depth == depth - 1]
-            expansions = [n.expansion.as_tuple() for n in parents]
-            assert counts.as_tuple() == tuple(map(sum, zip(*expansions)))
-
-
 def test_no_two_retained_sem_patterns_equivalent(bank_kb, bank_ctx, sem_result):
     patterns = [p for p, _ in sem_result.patterns]
     for i, p in enumerate(patterns):
         for q in patterns[i + 1:]:
-            assert not bank_ctx.equivalent(p.query(), q.query()), \
-                f"{p} == {q}"
+            assert not bank_ctx.equivalent(p, q), f"{p} == {q}"
 
 
 def test_retained_sem_patterns_satisfiable_and_s_free(bank_ctx, sem_result):
     for p, _ in sem_result.patterns:
-        assert bank_ctx.satisfiable(p.query())
+        assert bank_ctx.satisfiable(p)
         assert is_semantically_free(p, bank_ctx)
 
 
 def test_retained_patterns_are_linked(sem_result, nosem_result):
     for res in (sem_result, nosem_result):
         for p, _ in res.patterns:
-            assert p.query().is_connected()
+            assert p.is_connected()
 
 
 def test_nosem_keeps_range_redundant_pattern(bank_kb, bank_ctx, nosem_result,
                                              sem_result):
-    redundant = Pattern((A(bank_kb, "Client", KEY),
-                         A(bank_kb, "isOwnerOf", KEY, X1),
-                         A(bank_kb, "Property", X1)))
-    assert any(p.atoms == redundant.atoms for p, _ in nosem_result.patterns)
-    assert not any(p.atoms == redundant.atoms for p, _ in sem_result.patterns)
+    redundant = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                                A(bank_kb, "isOwnerOf", KEY, X1),
+                                A(bank_kb, "Property", X1)))
+    assert any(p.body == redundant.body for p, _ in nosem_result.patterns)
+    assert not any(p.body == redundant.body for p, _ in sem_result.patterns)
     assert not is_semantically_free(redundant, bank_ctx)
+
+
+def test_nosem_builds_no_semantic_context(monkeypatch, bank_kb):
+    def refuse(*args):
+        raise AssertionError("nosem built a SemanticContext")
+
+    monkeypatch.setattr(miner, "SemanticContext", refuse)
+    mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 2, MODE_NOSEM))
 
 
 def test_sem_cheaper_than_nosem_per_depth(sem_result, nosem_result):
@@ -315,10 +333,10 @@ def test_inverse_role_pair_collapses(bank_inverse_kb):
     ctx = SemanticContext(bank_inverse_kb.without_abox())
     res = mine(bank_inverse_kb, MiningConfig("Client", Fraction(1, 2), 2,
                                              MODE_SEM))
-    wanted = Pattern((A(bank_inverse_kb, "Client", KEY),
-                      A(bank_inverse_kb, "isOwnerOf", KEY, X1)))
+    wanted = QuerySpec(KEY, (A(bank_inverse_kb, "Client", KEY),
+                             A(bank_inverse_kb, "isOwnerOf", KEY, X1)))
     reps = [p for p, _ in res.patterns
-            if ctx.equivalent(p.query(), wanted.query())]
+            if ctx.equivalent(p, wanted)]
     assert len(reps) == 1
 
 
@@ -332,7 +350,7 @@ def test_figure_bias_mining_snapshot(bank_kb):
     res = mine(bank_kb, cfg)
     assert res.stats.per_depth[2].as_tuple() == (7, 7, 7, 6, 3)
     assert res.stats.per_depth[3].as_tuple() == (29, 29, 25, 25, 7)
-    depth2 = [(str(p), s) for p, s in res.patterns if len(p.atoms) == 2]
+    depth2 = [(str(p), s) for p, s in res.patterns if len(p.body) == 2]
     assert depth2 == [
         ("Q(?key) :- Client(?key), isOwnerOf(?key, ?x1)", Fraction(1)),
         ("Q(?key) :- Client(?key), relative(?key, ?x1)", Fraction(2, 3)),
@@ -348,8 +366,8 @@ def test_cp_keep_nondl_smoke(bank_kb):
     kept = mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM,
                                       cp_keep_nondl=True))
     plain = mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
-    assert [p.atoms for p, _ in kept.patterns] == \
-        [p.atoms for p, _ in plain.patterns]
+    assert [p.body for p, _ in kept.patterns] == \
+        [p.body for p, _ in plain.patterns]
 
 
 # -- random knowledge bases ----------------------------------------------------------
@@ -409,7 +427,7 @@ def test_refinement_yields_distinct_atoms(monkeypatch, bank_kb,
 
 def _outcome(res):
     """Trie shape, patterns, supports and per-depth counters of a run."""
-    nodes = [(n.seq, n.parent.seq if n.parent else None, n.pattern.atoms,
+    nodes = [(n.seq, n.parent.seq if n.parent else None, n.pattern.body,
               n.support) for n in res.trie.nodes()]
     return nodes, {d: c.as_tuple() for d, c in res.stats.per_depth.items()}
 

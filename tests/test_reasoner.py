@@ -376,7 +376,7 @@ def test_answer_query_matches_brute_force(bank_kb, bank_inverse_kb):
         result = mine(kb, MiningConfig(ref, minsup, 3, MODE_NOSEM))
         queries = []
         for pattern, _ in result.patterns:
-            queries += [pattern.query(), QuerySpec(KEY, pattern.atoms[1:])]
+            queries += [pattern, QuerySpec(KEY, pattern.body[1:])]
         if kb is bank_kb:
             queries.append(QuerySpec(KEY, (
                 A(kb, "isOwnerOf", KEY, "account2"),)))
@@ -522,7 +522,7 @@ def test_canonical_forms_match_permutation_form(monkeypatch, bank_kb):
 
     monkeypatch.setattr(reasoner, "canonical_query", spy)
     for kb, cfg in runs:
-        queries += [p.query() for p, _ in mine(kb, cfg).patterns]
+        queries += [p for p, _ in mine(kb, cfg).patterns]
     queries = set(queries)
     ours: dict[tuple, set] = {}
     theirs: dict[tuple, set] = {}

@@ -20,7 +20,7 @@ from ontominer.clausify import GroundProgram, clausify
 from ontominer.errors import BranchLimitExceeded, EmptyReferenceConcept
 from ontominer.kbparse import parse_kb
 from ontominer.miner import (KEY, MODE_NOSEM, MODE_SEM, MiningConfig,
-                             Pattern, SupportEvaluator, chase_parts,
+                             SupportEvaluator, chase_parts,
                              default_bias, mine, refine_candidates,
                              trivial_pattern)
 from ontominer.reasoner import (ChaseConfig, QuerySpec, answer_query, chase,
@@ -68,7 +68,7 @@ def support_differs(kb, ref: str) -> list[str]:
     keeping the bindings."""
     whole = chase(clausify(kb), kb.abox)
     parts = chase_parts(kb)
-    ref_query = trivial_pattern(ref).query()
+    ref_query = trivial_pattern(ref)
     if not answer_query(whole, ref_query):
         with pytest.raises(EmptyReferenceConcept):
             SupportEvaluator(parts, ref)
@@ -76,14 +76,13 @@ def support_differs(kb, ref: str) -> list[str]:
     evaluator = SupportEvaluator(parts, ref)
     if evaluator.reference_extension != answer_query(whole, ref_query):
         return [str(ref_query)]
-    references: dict[Pattern, Optional[frozenset]] = {}
+    references: dict[QuerySpec, Optional[frozenset]] = {}
 
-    def reference(p: Pattern) -> Optional[frozenset]:
+    def reference(p: QuerySpec) -> Optional[frozenset]:
         """The answers of ``p`` if both references agree, else None."""
         if p not in references:
-            union = per_part_union(evaluator, p.query())
-            references[p] = union if union == answer_query(
-                whole, p.query()) else None
+            union = per_part_union(evaluator, p)
+            references[p] = union if union == answer_query(whole, p) else None
         return references[p]
 
     bias = default_bias(kb, parts)
@@ -100,16 +99,17 @@ def support_differs(kb, ref: str) -> list[str]:
             if evaluator.answers(node.pattern) != expected:
                 out.append(f"answers of {node.pattern}")
             matches = evaluator.start()
-            for atom in node.pattern.atoms[1:]:
+            for atom in node.pattern.body[1:]:
                 matches = evaluator.extend(matches, atom, keep=True)
             for atom in refine_candidates(node, bias):
-                expected = reference(node.pattern.with_atom(atom))
+                child = QuerySpec(KEY, node.pattern.body + (atom,))
+                expected = reference(child)
                 if not (expected is not None
                         and set(evaluator.extend(matches, atom).bindings)
                         == set(evaluator.extend(matches, atom,
                                                 keep=True).bindings)
                         == expected):
-                    out.append(str(node.pattern.with_atom(atom)))
+                    out.append(str(child))
     return out
 
 
@@ -207,10 +207,10 @@ def test_disconnected_rule_body_is_one_part():
     program = clausify(kb)
     assert len(split_abox(program, kb.abox)) == 1
     # The rule joins the two components: p(a) needs B(b).
-    q = Pattern((m.Atom("A", (KEY,), m.CONCEPT),
-                 m.Atom("p", (KEY,), m.NONDL)))
+    q = QuerySpec(KEY, (m.Atom("A", (KEY,), m.CONCEPT),
+                        m.Atom("p", (KEY,), m.NONDL)))
     whole = chase(program, kb.abox)
-    assert answer_query(whole, q.query()) == {"a"}
+    assert answer_query(whole, q) == {"a"}
     assert SupportEvaluator(chase_parts(kb), "A").answers(q) == {"a"}
     assert factoring_differs(program, kb.abox) == []
 
@@ -230,7 +230,10 @@ def test_support_rejects_a_disconnected_pattern(bank_kb):
                   (client, m.Atom("Account", (m.Const("a1"),), m.CONCEPT)),
                   (m.Atom("Account", (KEY,), m.CONCEPT),)]:
         with pytest.raises(ValueError):
-            evaluator.answers(Pattern(atoms))
+            evaluator.answers(QuerySpec(KEY, atoms))
+    with pytest.raises(ValueError):  # the reference atom is not on the key
+        evaluator.answers(QuerySpec(X, (client, m.Atom("isOwnerOf", (KEY, X),
+                                                       m.ROLE))))
     assert not QuerySpec(KEY, (client, m.Atom("isOwnerOf", (X, Y), m.ROLE))
                          ).is_connected()
     assert QuerySpec(KEY, (client, m.Atom("Client", (Y,), m.CONCEPT),
