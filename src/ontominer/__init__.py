@@ -6,7 +6,7 @@ from .errors import (BranchLimitExceeded, EmptyReferenceConcept,
                      InconsistentKB, OntominerError, ParseError,
                      UnsupportedAxiom)
 from .kbparse import load_kb, parse_kb, serialize_kb
-from .clausify import GroundProgram, ProgramRule, clausify, format_program, normalize
+from .clausify import GroundProgram, ProgramRule, clausify, format_program
 from .miner import (MineResult, MiningConfig, RunStats, Trie, TrieNode, mine,
                     refine_candidates, semantic_filter, trivial_pattern)
 from .model import (Atom, CombinedKB, Const, DLRule, Predicate, Var,
@@ -24,6 +24,6 @@ __all__ = [
     "SemanticContext", "Trie", "TrieNode", "UnsupportedAxiom", "Var",
     "answer_query", "cautious_entails", "chase", "check_dl_safety",
     "clausify", "format_models", "format_program", "load_kb", "make_dl_safe",
-    "mine", "normalize", "parse_kb", "refine_candidates", "semantic_filter",
+    "mine", "parse_kb", "refine_candidates", "semantic_filter",
     "serialize_kb", "trivial_pattern",
 ]

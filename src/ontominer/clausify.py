@@ -1,12 +1,14 @@
 """Translation of a combined KB into a positive disjunctive rule program.
 
-Terminological axioms are first normalized to inclusions
+Clausification is one pass over the axioms.  Each concept inclusion is
+rewritten until it has the normal form
 
     A1 and ... and An  subclass-of  D1 or ... or Dm
 
 where each Ai is an atomic concept or an existential restriction with
 atomic filler, and each Dj is an atomic concept, Nothing, or an existential
-restriction with atomic filler.  A value restriction on the right becomes a
+restriction with atomic filler; once normal it becomes a rule at once,
+unless it is a tautology.  A value restriction on the right becomes a
 clause whose body walks the role edge: ``all R.A`` turns into
 ``A(y) <- lhs(x), R(x, y)``.  Fresh auxiliary concepts (``aux_N``) name
 nested subexpressions; they are conservative, so named-constant
@@ -17,9 +19,13 @@ than being silently approximated.
 The resulting program consists of rules whose heads are plain atoms or
 existential markers (skolemized later by the chase), role-property rules
 (a functional role gives ``=(y, z) :- R(x, y), R(x, z)``), and the user
-rules made DL-safe.  No equality axiom is emitted: the chase closes each
-branch under ``=`` itself (see ``reasoner``).  Clausification is
-deterministic: the same KB yields the same rule sequence with stable ids.
+rules made DL-safe.  A rule's ``origin`` is ``"inclusion"`` for a concept
+inclusion, the role axiom for a role-property rule (``"functional
+(inv r)"``) and ``"user rule"`` for a user rule.  A rule equal to an earlier
+one up to variable renaming is dropped.  No equality axiom is emitted: the
+chase closes each branch under ``=`` itself (see ``reasoner``).
+Clausification is deterministic: the same KB yields the same rule sequence
+with stable ids.
 """
 
 from __future__ import annotations
@@ -126,42 +132,13 @@ class GroundProgram:
 
 
 # ---------------------------------------------------------------------------
-# Normalized inclusions
+# Normalization and rule emission
 # ---------------------------------------------------------------------------
 
 # A right-hand disjunct: ("atomic", var_index, name) or
 # ("some", var_index, RoleExpr, filler-or-None).  Variable index 0 is the
 # subject; positive indices are successor variables of value restrictions.
 RhsDisjunct = tuple
-
-
-@dataclass(frozen=True)
-class NormalInclusion:
-    lhs_concepts: tuple[str, ...]
-    lhs_exists: tuple[tuple[m.RoleExpr, Optional[str]], ...]
-    succ_roles: tuple[m.RoleExpr, ...]
-    rhs: tuple[RhsDisjunct, ...]
-
-    def __str__(self) -> str:
-        parts = list(self.lhs_concepts)
-        parts += [f"some {r}.{f or 'Thing'}" for r, f in self.lhs_exists]
-        parts += [f"{r}(x0,y{i + 1})" for i, r in enumerate(self.succ_roles)]
-        lhs = " and ".join(parts) if parts else "Thing"
-        if not self.rhs:
-            rhs = "Nothing"
-        else:
-            bits = []
-            for d in self.rhs:
-                at = "" if d[1] == 0 else f"@y{d[1]}"
-                if d[0] == "atomic":
-                    bits.append(d[2] + at)
-                else:
-                    bits.append(f"some {d[2]}.{d[3] or 'Thing'}{at}")
-            rhs = " or ".join(bits)
-        return f"{lhs} subclass-of {rhs}"
-
-
-NormalizedForm = Union[NormalInclusion, m.SubRole, m.Transitive, m.Functional]
 
 
 def _check_negation_scope(c: m.ConceptExpr, under_quantifier: bool) -> None:
@@ -177,17 +154,37 @@ def _check_negation_scope(c: m.ConceptExpr, under_quantifier: bool) -> None:
         _check_negation_scope(c.filler, True)
 
 
+def _role_atom(role: m.RoleExpr, subj: m.Term, obj: m.Term) -> m.Atom:
+    if role.inverse:
+        return m.Atom(role.name, (obj, subj), m.ROLE)
+    return m.Atom(role.name, (subj, obj), m.ROLE)
+
+
+# The variables of the role-property rules.
+_ROLE_VARS = (m.Var("x0"), m.Var("x1"), m.Var("x2"))
+
+
 class _Normalizer:
     def __init__(self):
         self.aux_count = 0
         self.aux_predicates: dict[str, m.Predicate] = {}
-        self.out: list[NormalizedForm] = []
+        self.rules: list[ProgramRule] = []
+        self.seen: set = set()
 
     def fresh_aux(self) -> str:
         name = f"aux_{self.aux_count}"
         self.aux_count += 1
         self.aux_predicates[name] = m.Predicate(name, 1, m.CONCEPT)
         return name
+
+    def emit(self, head, body, origin: str) -> None:
+        """Append the rule unless one equal up to variable renaming is
+        already in the program."""
+        rule = ProgramRule(f"r{len(self.rules)}", tuple(head), tuple(body),
+                           origin)
+        if rule.compiled not in self.seen:
+            self.seen.add(rule.compiled)
+            self.rules.append(rule)
 
     # -- main entry per concept inclusion ------------------------------------
 
@@ -200,7 +197,8 @@ class _Normalizer:
             queue[0:0] = self._step(left, right)
 
     def _step(self, left: list, right: list) -> list[tuple[list, list]]:
-        """Rewrite one inclusion; emit it if normal, else return successors."""
+        """Rewrite one inclusion; emit its rule if it is normal, else
+        return successors."""
         # Left side: a conjunction.
         concepts: list[str] = []
         exists: list[tuple[m.RoleExpr, Optional[str]]] = []
@@ -265,10 +263,9 @@ class _Normalizer:
                 return self._split(concepts, exists, disjuncts, work,
                                    c.left, c.right)
             elif isinstance(c, m.Not):
-                if at != 0:
-                    self._defer(c, at, work)
-                else:
-                    concepts.append(c.name)
+                # At the subject: _check_negation_scope rejects a negation
+                # under a quantifier.
+                concepts.append(c.name)
             elif isinstance(c, m.Some):
                 filler = c.filler
                 if isinstance(filler, m.Top):
@@ -297,10 +294,26 @@ class _Normalizer:
             else:
                 raise UnsupportedAxiom(f"unsupported concept {c}")
 
-        inc = NormalInclusion(tuple(concepts), tuple(exists),
-                              tuple(succ_roles), tuple(disjuncts))
-        if not self._tautology(inc):
-            self.out.append(inc)
+        for d in disjuncts:
+            if d[1] == 0 and (d[2] in concepts if d[0] == "atomic"
+                              else (d[2], d[3]) in exists):
+                return []  # tautology
+        subject = m.Var("x0")
+        body = [m.Atom(name, (subject,), m.CONCEPT) for name in concepts]
+        for i, (role, filler) in enumerate(exists, 1):
+            v = m.Var(f"x{i}")
+            body.append(_role_atom(role, subject, v))
+            if filler:
+                body.append(m.Atom(filler, (v,), m.CONCEPT))
+        at_var = [subject]
+        for i, role in enumerate(succ_roles, len(exists) + 1):
+            at_var.append(m.Var(f"x{i}"))
+            body.append(_role_atom(role, subject, at_var[-1]))
+        if not body:
+            body.append(m.Atom(TOP_PRED, (subject,), m.OPRED))
+        head = [m.Atom(d[2], (at_var[d[1]],), m.CONCEPT) if d[0] == "atomic"
+                else ExistsHead(d[2], d[3], at_var[d[1]]) for d in disjuncts]
+        self.emit(head, body, "inclusion")
         return []
 
     @staticmethod
@@ -332,18 +345,12 @@ class _Normalizer:
                      for d in disjuncts] + [c for _, c in work]
         return [(left, remaining + [first]), (left, remaining + [second])]
 
-    @staticmethod
-    def _tautology(inc: NormalInclusion) -> bool:
-        for d in inc.rhs:
-            if d[1] != 0:
-                continue
-            if d[0] == "atomic" and d[2] in inc.lhs_concepts:
-                return True
-            if d[0] == "some" and (d[2], d[3]) in inc.lhs_exists:
-                return True
-        return False
-
     # -- axiom dispatch -------------------------------------------------------
+
+    def add_subrole(self, sub: m.RoleExpr, sup: m.RoleExpr) -> None:
+        x, y, _ = _ROLE_VARS
+        self.emit([_role_atom(sup, x, y)], [_role_atom(sub, x, y)],
+                  f"subrole {sub} {sup}")
 
     def add_axiom(self, ax: m.TBoxAxiom) -> None:
         if isinstance(ax, m.SubClass):
@@ -358,120 +365,41 @@ class _Normalizer:
         elif isinstance(ax, m.Range):
             self.add_gci(m.TOP, m.All(m.RoleExpr(ax.role), ax.concept))
         elif isinstance(ax, m.SubRole):
-            self.out.append(ax)
+            self.add_subrole(ax.sub, ax.sup)
         elif isinstance(ax, m.EquivRole):
-            self.out.append(m.SubRole(ax.left, ax.right))
-            self.out.append(m.SubRole(ax.right, ax.left))
+            self.add_subrole(ax.left, ax.right)
+            self.add_subrole(ax.right, ax.left)
         elif isinstance(ax, m.Symmetric):
-            self.out.append(m.SubRole(m.RoleExpr(ax.name),
-                                      m.RoleExpr(ax.name, inverse=True)))
-        elif isinstance(ax, (m.Transitive, m.Functional)):
-            self.out.append(ax)
+            self.add_subrole(m.RoleExpr(ax.name),
+                             m.RoleExpr(ax.name, inverse=True))
+        elif isinstance(ax, m.Transitive):
+            x, y, z = _ROLE_VARS
+            r = m.RoleExpr(ax.name)
+            self.emit([_role_atom(r, x, z)],
+                      [_role_atom(r, x, y), _role_atom(r, y, z)],
+                      f"transitive {ax.name}")
+        elif isinstance(ax, m.Functional):
+            x, y, z = _ROLE_VARS
+            self.emit([m.Atom(m.EQ_PRED, (y, z), m.EQUALITY)],
+                      [_role_atom(ax.role, x, y), _role_atom(ax.role, x, z)],
+                      f"functional {ax.role}")
         else:
             raise UnsupportedAxiom(f"unknown axiom {ax!r}")
-
-
-def normalize(tbox) -> tuple[list[NormalizedForm], dict[str, m.Predicate]]:
-    """Rewrite TBox axioms into normalized inclusions plus role forms.
-
-    Returns the normalized sequence and the auxiliary concept registry.
-    Tautological inclusions are dropped; duplicates are kept, since equal
-    forms emit equal rules and ``_Emitter.emit`` drops those.  The output
-    order is deterministic.
-    """
-    n = _Normalizer()
-    for ax in tbox:
-        n.add_axiom(ax)
-    return n.out, n.aux_predicates
-
-
-# ---------------------------------------------------------------------------
-# Rule emission
-# ---------------------------------------------------------------------------
-
-def _role_atom(role: m.RoleExpr, subj: m.Term, obj: m.Term) -> m.Atom:
-    if role.inverse:
-        return m.Atom(role.name, (obj, subj), m.ROLE)
-    return m.Atom(role.name, (subj, obj), m.ROLE)
-
-
-class _Emitter:
-    def __init__(self):
-        self.rules: list[ProgramRule] = []
-        self.seen: set = set()
-
-    def emit(self, head, body, origin: str) -> None:
-        """Append the rule unless one equal up to variable renaming is
-        already in the program."""
-        rule = ProgramRule(f"r{len(self.rules)}", tuple(head), tuple(body),
-                           origin)
-        if rule.compiled not in self.seen:
-            self.seen.add(rule.compiled)
-            self.rules.append(rule)
-
-
-def _inclusion_rule(inc: NormalInclusion, emit: _Emitter) -> None:
-    subject = m.Var("x0")
-    body: list[m.Atom] = []
-    for name in inc.lhs_concepts:
-        body.append(m.Atom(name, (subject,), m.CONCEPT))
-    nextvar = 1
-    for role, filler in inc.lhs_exists:
-        v = m.Var(f"x{nextvar}")
-        nextvar += 1
-        body.append(_role_atom(role, subject, v))
-        if filler:
-            body.append(m.Atom(filler, (v,), m.CONCEPT))
-    succ_vars: list[m.Var] = []
-    for role in inc.succ_roles:
-        v = m.Var(f"x{nextvar}")
-        nextvar += 1
-        succ_vars.append(v)
-        body.append(_role_atom(role, subject, v))
-    if not body:
-        body.append(m.Atom(TOP_PRED, (subject,), m.OPRED))
-    head: list[HeadAtom] = []
-    for d in inc.rhs:
-        var = subject if d[1] == 0 else succ_vars[d[1] - 1]
-        if d[0] == "atomic":
-            head.append(m.Atom(d[2], (var,), m.CONCEPT))
-        else:
-            head.append(ExistsHead(d[2], d[3], var))
-    emit.emit(head, body, str(inc))
-
-
-def _role_rule(form: NormalizedForm, emit: _Emitter) -> None:
-    x, y, z = m.Var("x0"), m.Var("x1"), m.Var("x2")
-    if isinstance(form, m.SubRole):
-        emit.emit([_role_atom(form.sup, x, y)], [_role_atom(form.sub, x, y)],
-                  f"subrole {form.sub} {form.sup}")
-    elif isinstance(form, m.Transitive):
-        r = m.RoleExpr(form.name)
-        emit.emit([_role_atom(r, x, z)], [_role_atom(r, x, y), _role_atom(r, y, z)],
-                  f"transitive {form.name}")
-    elif isinstance(form, m.Functional):
-        emit.emit([m.Atom(m.EQ_PRED, (y, z), m.EQUALITY)],
-                  [_role_atom(form.role, x, y), _role_atom(form.role, x, z)],
-                  f"functional {form.role}")
 
 
 def clausify(kb: m.CombinedKB) -> GroundProgram:
     """Build the disjunctive program equisatisfiable with the KB for
     named-constant atomic consequences.  ABox facts are not part of the
     program; they are handed to the chase separately."""
-    forms, aux = normalize(kb.tbox)
-    predicates = dict(kb.predicates)
-    predicates.update(aux)
-    emit = _Emitter()
-    for form in forms:
-        if isinstance(form, NormalInclusion):
-            _inclusion_rule(form, emit)
-        else:
-            _role_rule(form, emit)
+    n = _Normalizer()
+    for ax in kb.tbox:
+        n.add_axiom(ax)
     for rule in kb.rules:
         safe = m.make_dl_safe(rule)
-        emit.emit(list(safe.head), list(safe.body), "user rule")
-    return GroundProgram(tuple(emit.rules), kb.individuals, predicates)
+        n.emit(safe.head, safe.body, "user rule")
+    predicates = dict(kb.predicates)
+    predicates.update(n.aux_predicates)
+    return GroundProgram(tuple(n.rules), kb.individuals, predicates)
 
 
 def format_program(program: GroundProgram) -> str:

@@ -204,8 +204,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "semantic tests")
     p.add_argument("--skolem-depth", type=int, default=3)
     p.add_argument("--max-branches", type=int, default=100000)
-    p.add_argument("--dump-program", default=None, metavar="FILE")
-    p.add_argument("--dump-models", default=None, metavar="FILE")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -222,8 +220,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         chase=ChaseConfig(args.skolem_depth, args.max_branches),
         out_dir=args.out,
         covering_complement=args.covering_complement,
-        dump_program=args.dump_program,
-        dump_models=args.dump_models)
+        dump_program=getattr(args, "dump_program", None),
+        dump_models=getattr(args, "dump_models", None))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -236,6 +234,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_common(p_mine)
     p_mine.add_argument("--mode", choices=[mining.MODE_SEM, mining.MODE_NOSEM],
                         default=mining.MODE_SEM)
+    p_mine.add_argument("--dump-program", default=None, metavar="FILE")
+    p_mine.add_argument("--dump-models", default=None, metavar="FILE")
     p_cmp = sub.add_parser("compare", help="compare sem/nosem settings")
     _add_common(p_cmp)
     try:

@@ -329,7 +329,7 @@ class _Parser:
         if (len(rest) != 2 or not isinstance(rest[0], list) or not rest[0]
                 or rest[0][0] != "head" or not isinstance(rest[1], list)
                 or not rest[1] or rest[1][0] != "body"):
-            raise self.err("(rule (head atom+) (body atom+))")
+            raise self.err("(rule (head atom+) (body atom*))")
         head = tuple(self.rule_atom(a, in_head=True) for a in rest[0][1:])
         body = tuple(self.rule_atom(a, in_head=False) for a in rest[1][1:])
         if not head:

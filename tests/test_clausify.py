@@ -1,8 +1,8 @@
 import pytest
 
 from ontominer import model as m
-from ontominer.clausify import (ExistsHead, NormalInclusion, ProgramRule,
-                                clausify, format_program, normalize)
+from ontominer.clausify import (ExistsHead, ProgramRule, clausify,
+                                format_program)
 from ontominer.errors import UnsupportedAxiom
 from ontominer.kbparse import parse_kb
 
@@ -12,13 +12,10 @@ def rules_as_strings(kb):
 
 
 def test_client_definition_splits_into_two_inclusions():
-    forms, _ = normalize((m.EquivClass(
-        m.Atomic("Client"), m.Some(m.RoleExpr("isOwnerOf"), m.TOP)),))
-    assert forms == [
-        NormalInclusion(("Client",), (), (),
-                        (("some", 0, m.RoleExpr("isOwnerOf"), None),)),
-        NormalInclusion((), ((m.RoleExpr("isOwnerOf"), None),), (),
-                        (("atomic", 0, "Client"),)),
+    kb = parse_kb("(equivalent Client (some isOwnerOf Thing))\n")
+    assert rules_as_strings(kb) == [
+        "exists[isOwnerOf,Thing](?x0) :- Client(?x0).",
+        "Client(?x0) :- isOwnerOf(?x0, ?x1).",
     ]
 
 
@@ -29,8 +26,36 @@ def test_disjunctive_range_clause():
 
 
 def test_reflexive_inclusion_dropped():
-    forms, _ = normalize((m.SubClass(m.Atomic("A"), m.Atomic("A")),))
-    assert forms == []
+    assert rules_as_strings(parse_kb("(subclass A A)\n")) == []
+
+
+@pytest.mark.parametrize("text, rules", [
+    ("(subclass A (not B))", [":- A(?x0), B(?x0)."]),
+    ("(subclass (not A) B)", ["B(?x0) | A(?x0) :- $top(?x0)."]),
+    ("(subclass A (all r (and B C)))",
+     ["B(?x1) :- A(?x0), r(?x0, ?x1).", "C(?x1) :- A(?x0), r(?x0, ?x1)."]),
+    ("(subclass A (all r (and B (all s C))))",
+     ["B(?x1) :- A(?x0), r(?x0, ?x1).",
+      "C(?x1) :- aux_0(?x0), s(?x0, ?x1).",
+      "aux_0(?x1) :- A(?x0), r(?x0, ?x1)."]),
+    ("(subclass A (or (all r B) (all s (and C D))))",
+     ["C(?x1) :- aux_0(?x0), s(?x0, ?x1).",
+      "D(?x1) :- aux_0(?x0), s(?x0, ?x1).",
+      "B(?x1) | aux_0(?x0) :- A(?x0), r(?x0, ?x1)."]),
+    ("(subclass A (or B (some r Nothing)))", ["B(?x0) :- A(?x0)."]),
+    ("(subclass (and A Nothing) B)", []),
+    ("(subclass (some r Nothing) A)", []),
+    ("(subclass A (or B Thing))", []),
+    ("(subclass (some r B) (some r B))", []),
+    ("(rule (head (p ?x)) (body))", ["p(?x) :- O(?x)."]),
+], ids=["not-right", "not-left", "and-under-all", "nested-all-under-all",
+        "and-under-all-in-or", "some-nothing-right", "nothing-left",
+        "some-nothing-left", "thing-right", "same-some-both-sides",
+        "empty-rule-body"])
+def test_normalizer_branches(text, rules):
+    """Negation on either side, conjunctions under value restrictions,
+    trivially true inclusions and an empty rule body."""
+    assert rules_as_strings(parse_kb(text + "\n")) == rules
 
 
 def test_inverse_functional_equality_rule():

@@ -223,8 +223,11 @@ def test_compare_empty_tbox_ratios_are_one(tmp_path):
      "--max-depth", "2", "--mode", "sem-tax"],
     ["compare", "--ref-concept", "Client", "--minsup", "0.5",
      "--max-depth", "2", "--mode", "sem"],
+    ["compare", "--ref-concept", "Client", "--minsup", "0.5",
+     "--max-depth", "2", "--dump-program", "program.txt",
+     "--dump-models", "models.txt"],
 ], ids=["non-integer-depth", "missing-ref-concept", "unknown-mode",
-        "compare-mode"])
+        "compare-mode", "compare-dump"])
 def test_usage_error_exits_one(bank_path, tmp_path, capsys, argv):
     """Exit 2 means an inconsistent KB, so a usage error exits 1."""
     code = run_cli(argv[0], "--kb", bank_path, *argv[1:],
