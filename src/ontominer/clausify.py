@@ -130,6 +130,27 @@ class GroundProgram:
     individuals: frozenset[str]
     predicates: dict[str, m.Predicate] = field(default_factory=dict)
 
+    @cached_property
+    def chase_plan(self) -> tuple:
+        """``(horn, existential, disjunctive, body_preds, equality)`` for the
+        chase, computed once per program: ``(index, body, heads, nvars)`` per
+        rule of each kind, in firing order (existential rules last, to see
+        the round's consequences when they seek a witness), the predicates
+        but ``O`` that each rule's body reads, and whether a rule has ``=``."""
+        def of_kind(keep) -> tuple:
+            return tuple((i,) + r.compiled for i, r in enumerate(self.rules)
+                         if keep(r))
+
+        horn = of_kind(ProgramRule.is_constraint) + of_kind(ProgramRule.is_horn)
+        existential = of_kind(lambda r: len(r.head) == 1 and not r.is_horn())
+        disjunctive = of_kind(lambda r: len(r.head) > 1)
+        body_preds = tuple(tuple(dict.fromkeys(
+            pred for pred, _ in r.compiled[0] if pred != m.O_PRED))
+            for r in self.rules)
+        equality = any(isinstance(a, m.Atom) and a.pred == m.EQ_PRED
+                       for r in self.rules for a in r.head + r.body)
+        return horn, existential, disjunctive, body_preds, equality
+
 
 # ---------------------------------------------------------------------------
 # Normalization and rule emission
@@ -265,7 +286,8 @@ class _Normalizer:
             elif isinstance(c, m.Not):
                 # At the subject: _check_negation_scope rejects a negation
                 # under a quantifier.
-                concepts.append(c.name)
+                if c.name not in concepts:
+                    concepts.append(c.name)
             elif isinstance(c, m.Some):
                 filler = c.filler
                 if isinstance(filler, m.Top):

@@ -26,15 +26,17 @@ trie: a node's matches (per answer and model, every binding of the
 pattern's variables) are extended by the candidate's one atom, and a key
 that fails a node is never tested below it.
 
-Every candidate takes one path in every mode: it gets a verdict, its
-support is evaluated only if the verdict is ``accepted``, and
-``Counts.record`` counts it from the verdict and the support.  In ``sem``
-mode the verdict comes from three tests, in order: satisfiability against
-the intensional KB, semantic freeness (no non-reference atom is deducible
-from the rest), and non-equivalence to any frequent pattern already in the
-trie, tested only against the nodes that share its frozen-chase signature
-(``SemanticContext.signature``).  ``nosem`` skips all three and accepts
-every candidate.
+Every candidate takes one path in every mode: it gets a verdict, and
+``Counts.record`` counts it from the verdict and, if it is ``accepted``, its
+support.  In ``sem`` mode the verdict comes from three tests, in order:
+satisfiability against the intensional KB, semantic freeness (no
+non-reference atom is deducible from the rest), and non-equivalence to any
+frequent pattern already in the trie.  The last evaluates the candidate's
+support first and compares it only with the nodes that have its answers and
+its frozen-chase signature (``SemanticContext.signature``), so with none
+when it is infrequent; if a part of the full chase is truncated, computed
+answers are not certain and only the signature is compared.  ``nosem``
+skips all three and accepts every candidate.
 
 Ordering is deterministic everywhere: bias order is KB declaration order,
 dependent atoms are ordered by predicate then placement, and counters,
@@ -46,10 +48,12 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import model as m
 from .clausify import clausify, compile_atom
@@ -146,39 +150,46 @@ class TrieNode:
 
 
 class Trie:
-    def __init__(self, root: TrieNode):
+    def __init__(self, root: TrieNode, answers: Optional[frozenset] = None):
         self.root = root
-        # Every node in registration order, which is ``seq`` order.
-        self._nodes: list[TrieNode] = [root]
-        # Equivalence-scan index, filled lazily by ``semantic_filter`` so
-        # that runs without the semantic tests never compute a signature:
-        # nodes by frozen-chase signature (None: the chase has none), and
-        # nodes registered since the last scan.
-        self.by_signature: dict[Optional[frozenset], list[TrieNode]] = {}
-        self.unindexed: list[TrieNode] = [root]
+        # Per certain-answer set (None: every node), the nodes in ``seq``
+        # order, the nodes by frozen-chase signature (None: the chase has
+        # none), and the nodes registered since that set's last scan; the
+        # signatures are computed only by ``semantic_filter``'s scans.
+        self._groups = defaultdict(lambda: ([], {}, []))
+        self._add(root, answers)
 
-    def register(self, parent: TrieNode, node: TrieNode) -> None:
-        node.seq = len(self._nodes)
+    def register(self, parent: TrieNode, node: TrieNode,
+                 answers: Optional[frozenset] = None) -> None:
         parent.children.append(node)
-        self._nodes.append(node)
-        self.unindexed.append(node)
+        self._add(node, answers)
+
+    def _add(self, node: TrieNode, answers: Optional[frozenset]) -> None:
+        node.seq = len(self._groups[None][0])
+        for key in {None, answers}:
+            nodes, _, unindexed = self._groups[key]
+            nodes.append(node)
+            unindexed.append(node)
 
     def nodes(self) -> list[TrieNode]:
-        return list(self._nodes)
+        return list(self._groups[None][0])
 
-    def equivalence_scan(self, signature: Optional[frozenset],
-                         ctx: SemanticContext) -> list[TrieNode]:
-        """The nodes a query with this signature may be equivalent to: the
-        nodes sharing it plus those without one, or every node when the
-        query has none."""
-        for node in self.unindexed:
-            self.by_signature.setdefault(
-                ctx.signature(node.pattern), []).append(node)
-        self.unindexed = []
+    def equivalence_scan(self, pattern: QuerySpec, ctx: SemanticContext,
+                         answers: Optional[frozenset] = None) -> list:
+        """The nodes ``pattern`` may be equivalent to: of those registered
+        with ``answers`` (every node if None), the ones sharing its
+        signature plus those without one, or all of them if it has none."""
+        group = self._groups.get(answers)
+        if group is None:
+            return []
+        nodes, by_signature, unindexed = group
+        signature = ctx.signature(pattern)
+        for node in unindexed:
+            by_signature.setdefault(ctx.signature(node.pattern), []).append(node)
+        unindexed.clear()
         if signature is None:
-            return self.nodes()
-        return (self.by_signature.get(signature, [])
-                + self.by_signature.get(None, []))
+            return list(nodes)
+        return by_signature.get(signature, []) + by_signature.get(None, [])
 
 
 @dataclass(frozen=True)
@@ -439,15 +450,20 @@ def is_semantically_free(pattern: QuerySpec, ctx: SemanticContext) -> bool:
     return True
 
 
-def semantic_filter(pattern: QuerySpec, ctx: SemanticContext,
-                    trie: Trie) -> str:
+def semantic_filter(pattern: QuerySpec, ctx: SemanticContext, trie: Trie,
+                    answers: Optional[Callable[[], frozenset]] = None) -> str:
     """Satisfiability, then semantic freeness, then the equivalence scan
-    over the trie nodes that share the candidate's signature."""
+    over the trie nodes that share the candidate's signature and, if given
+    a function ``answers``, called once both tests pass, its certain
+    answers: equivalent patterns have equal ones, so a candidate whose
+    answers no node has (any infrequent one) needs no signature.  Give
+    ``answers`` only if no part was truncated."""
     if not ctx.satisfiable(pattern):
         return PRUNED_UNSAT
     if not is_semantically_free(pattern, ctx):
         return PRUNED_NOT_SFREE
-    for other in trie.equivalence_scan(ctx.signature(pattern), ctx):
+    key = None if answers is None else answers()
+    for other in trie.equivalence_scan(pattern, ctx, key):
         if ctx.equivalent(pattern, other.pattern):
             return PRUNED_EQUIVALENT
     return ACCEPTED
@@ -481,6 +497,8 @@ class _Miner:
             kb_cp = (kb.keeping_nondl_facts() if cfg.cp_keep_nondl
                      else kb.without_abox())
             self.ctx = SemanticContext(kb_cp, chase_cfg)
+        # Computed answers are certain only when no part was truncated.
+        self.keyed = self.ctx is not None and not self.stats.truncated_parts
         if cfg.bias is None:
             self.bias = default_bias(kb, parts)
         else:
@@ -493,7 +511,8 @@ class _Miner:
     def run(self) -> MineResult:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
         root = TrieNode(root_pattern.body[0], root_pattern, Fraction(1), 1, None)
-        trie = Trie(root)
+        trie = Trie(root, self.evaluator.reference_extension
+                    if self.keyed else None)
         # One row per depth up to the limit, whichever depths get candidates.
         for depth in range(1, self.cfg.max_depth + 1):
             self.stats.at(depth)
@@ -501,6 +520,9 @@ class _Miner:
         self.expand_node(root, trie, self.evaluator.start())
         patterns = [(n.pattern, n.support) for n in trie.nodes()]
         return MineResult(trie, patterns, self.stats)
+
+    def _answers(self, matches: Matches, atom: m.Atom) -> frozenset[str]:
+        return frozenset(self.evaluator.extend(matches, atom).bindings)
 
     def expand_node(self, node: TrieNode, trie: Trie,
                     matches: Matches) -> None:
@@ -512,18 +534,21 @@ class _Miner:
         counts = self.stats.at(node.depth + 1)
         for atom in refine_candidates(node, self.bias):
             child_pattern = QuerySpec(KEY, node.pattern.body + (atom,))
+            evaluate = partial(self._answers, matches, atom)
             if self.cfg.mode == MODE_NOSEM:
                 verdict = ACCEPTED
             else:
-                verdict = semantic_filter(child_pattern, self.ctx, trie)
+                evaluate = cache(evaluate)
+                verdict = semantic_filter(child_pattern, self.ctx, trie,
+                                          evaluate if self.keyed else None)
             frequent = False
             if verdict == ACCEPTED:
-                answers = self.evaluator.extend(matches, atom).bindings
+                answers = evaluate()
                 frequent = len(answers) >= self.min_answers
                 if frequent:
                     trie.register(node, TrieNode(
                         atom, child_pattern, self.evaluator.fraction(answers),
-                        node.depth + 1, node))
+                        node.depth + 1, node), answers if self.keyed else None)
             counts.record(verdict, frequent)
         if node.depth + 1 < self.cfg.max_depth:
             for child in node.children:

@@ -45,8 +45,9 @@ The chase and query answering are functions of their inputs, but two
 things keep state.  ``canonical_query`` memoizes into a process-global
 ``lru_cache``, so a second mining run in one process finds its forms cached
 and runs faster; time each run in a process of its own.  Each
-``SemanticContext`` keeps an unlocked memo of frozen chases (see there) and
-no index of their models; ``SupportEvaluator`` keeps its parts' indexes.
+``SemanticContext`` keeps unlocked memos of frozen chases and of
+satisfiability verdicts (see there) and no index of their models;
+``SupportEvaluator`` keeps its parts' indexes.
 """
 
 from __future__ import annotations
@@ -137,12 +138,9 @@ def _match(by_pred: dict[str, list], consts: Sequence[str], named: frozenset,
     pred, slots = body[i]
     if pred == m.O_PRED:
         s = slots[0]
-        if s[0] == "c":
-            if s[1] in named:
-                yield from _match(by_pred, consts, named, named_sorted, body,
-                                  i + 1, binding)
-        elif binding[s[1]] is not None:
-            if binding[s[1]] in named:
+        value = s[1] if s[0] == "c" else binding[s[1]]
+        if value is not None:
+            if value in named:
                 yield from _match(by_pred, consts, named, named_sorted, body,
                                   i + 1, binding)
         else:
@@ -235,7 +233,8 @@ class _Branch:
 
 
 class _Chase:
-    """One chase, breadth-first over branches.  ``_fire`` skips each clean
+    """One chase over branches: ``run`` visits every leaf, ``consistent``
+    stops at the first consistent one.  ``_fire`` skips each clean
     rule (``_clean``), whose match would add no atom, create no skolem and
     set no flag, so every added atom, skolem name, ``truncated`` and model
     is what matching every rule gives."""
@@ -246,26 +245,8 @@ class _Chase:
         self.individuals = frozenset(program.individuals) | frozenset(
             t.name for a in facts for t in a.args) | extra_individuals
         self.individuals_sorted = tuple(sorted(self.individuals))
-        # (index, body, heads, nvars) per rule.  Single-head rules fire in
-        # this order each round: constraints and Horn rules, the equality
-        # closure, then existential rules, which see the round's Horn
-        # consequences and equalities when they look for a witness.
-        def of_kind(keep) -> list[tuple]:
-            return [(i,) + r.compiled for i, r in enumerate(program.rules)
-                    if keep(r)]
-
-        self.horn = (of_kind(ProgramRule.is_constraint)
-                     + of_kind(ProgramRule.is_horn))
-        self.existential = of_kind(
-            lambda r: len(r.head) == 1 and not r.is_horn())
-        self.disjunctive = of_kind(lambda r: len(r.head) > 1)
-        # The predicates whose atoms a match of each rule reads; ``O`` holds
-        # the named individuals, which never change during a chase.
-        self.body_preds = [tuple(dict.fromkeys(
-            pred for pred, _ in r.compiled[0] if pred != m.O_PRED))
-            for r in program.rules]
-        self.equality = any(isinstance(a, m.Atom) and a.pred == m.EQ_PRED
-                            for r in program.rules for a in r.head + r.body)
+        (self.horn, self.existential, self.disjunctive, self.body_preds,
+         self.equality) = program.chase_plan
         self.skolem_memo: dict[tuple, str] = {}
         self.skolem_depth: dict[str, int] = {}
         self.truncated = False
@@ -435,24 +416,32 @@ class _Chase:
 
     # -- driver -------------------------------------------------------------------
 
-    def run(self) -> ModelSet:
+    def _leaves(self, depth_first: bool) -> Iterable[_Branch]:
+        """Yield each consistent leaf, breadth-first or, with ``depth_first``,
+        in disjunct order; ``cfg.max_branches`` bounds the waiting ones."""
         queue = deque([self.root])
-        finished: list[_Branch] = []
         while queue:
-            branch = queue.popleft()
+            branch = queue.pop() if depth_first else queue.popleft()
             if self._saturate(branch) == "dead":
                 continue
             children = self._split(branch)
             if children is None:
-                finished.append(branch)
+                yield branch
                 continue
-            queue.extend(children)
+            queue.extend(reversed(children) if depth_first else children)
             if len(queue) > self.cfg.max_branches:
                 raise BranchLimitExceeded(
                     f"more than {self.cfg.max_branches} live chase branches")
-        models = self._minimize(finished)
-        return ModelSet(models, self.individuals_sorted,
+
+    def run(self) -> ModelSet:
+        finished = list(self._leaves(depth_first=False))
+        return ModelSet(self._minimize(finished), self.individuals_sorted,
                         inconsistent=not finished, truncated=self.truncated)
+
+    def consistent(self) -> bool:
+        """True iff some leaf is consistent: ``not run().inconsistent``,
+        found by a depth-first search that stops at the first such leaf."""
+        return next(self._leaves(depth_first=True), None) is not None
 
     def _minimize(self, branches: list[_Branch]) -> tuple[frozenset, ...]:
         projected = []
@@ -574,15 +563,11 @@ def split_abox(program: GroundProgram, facts: Sequence[m.Atom]
             for root, consts in members.items()]
 
 
-def ground_tuple(atom: m.Atom) -> GroundAtom:
-    return (atom.pred,) + tuple(t.name for t in atom.args)
-
-
 def cautious_entails(ms: ModelSet, atom: m.Atom) -> bool:
     """True iff the ground atom holds in every minimal model."""
     if ms.inconsistent:
         raise InconsistentKB("cautious entailment undefined: KB is inconsistent")
-    t = ground_tuple(atom)
+    t = (atom.pred,) + tuple(c.name for c in atom.args)
     return all(t in model for model in ms.models)
 
 
@@ -739,9 +724,12 @@ def _swap_fixes(body: Counter, u: int, v: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class SemanticContext:
-    """The clausified intensional program plus a memo of frozen chases.
+    """The clausified intensional program plus two memos keyed by
+    canonical form: full frozen chases, built only for the queries whose
+    models are read (signatures, the specific side of a containment test),
+    and one satisfiability bool for each other query.
 
-    The memo is per context and not locked, so share a context across
+    The memos are per context and not locked, so share a context across
     threads only for reading after warm-up, or confine it to one thread
     (the miner is single-threaded).
     """
@@ -750,29 +738,25 @@ class SemanticContext:
         self.program = clausify(kb_cp)
         self.base_facts = tuple(kb_cp.abox)
         self.cfg = cfg
-        # Chases of frozen queries, keyed by canonical form.  The chase of a
-        # frozen query is what both the satisfiability test and the specific
-        # side of every containment test need, so caching it makes the
-        # equivalence scan cheap: each query is chased once per context.
         self._frozen_memo: dict[tuple, ModelSet] = {}
+        self._sat_memo: dict[tuple, bool] = {}
 
     def _freeze(self, q: QuerySpec) -> tuple[list[m.Atom], frozenset[str]]:
-        """The body with variable i replaced by the constant ``$qi`` (the
-        key is ``$q0``), and those constants."""
+        """The base facts plus the body with variable i replaced by the
+        constant ``$qi`` (the key is ``$q0``), and those constants."""
         mapping: dict[m.Var, m.Term] = {}
         for i, v in enumerate(q.variables()):
             mapping[v] = m.Const(f"$q{i}")
         frozen = [a.substitute(mapping) for a in q.body]
         consts = frozenset(c.name for c in mapping.values())
-        return frozen, consts
+        return list(self.base_facts) + frozen, consts
 
     def _frozen_chase(self, q: QuerySpec, form: tuple) -> ModelSet:
         """The chase of frozen ``q``, memoized by its canonical ``form``."""
         ms = self._frozen_memo.get(form)
         if ms is None:
-            frozen, consts = self._freeze(q)
-            ms = chase(self.program, list(self.base_facts) + frozen, self.cfg,
-                       extra_individuals=consts)
+            facts, consts = self._freeze(q)
+            ms = chase(self.program, facts, self.cfg, extra_individuals=consts)
             self._frozen_memo[form] = ms
         return ms
 
@@ -791,7 +775,16 @@ class SemanticContext:
             frozenset(ms.individuals), ms.individuals)
 
     def satisfiable(self, q: QuerySpec) -> bool:
-        return not self._frozen_chase(q, canonical_query(q)).inconsistent
+        """True iff the frozen chase of ``q`` has a consistent leaf: read
+        from its full chase if memoized, else from a one-leaf search."""
+        form = canonical_query(q)
+        if form in self._frozen_memo:
+            return not self._frozen_memo[form].inconsistent
+        if form not in self._sat_memo:
+            facts, consts = self._freeze(q)
+            self._sat_memo[form] = _Chase(self.program, facts, self.cfg,
+                                          consts).consistent()
+        return self._sat_memo[form]
 
     def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         """True iff q1 is at least as general as q2 (q1 contains q2)."""

@@ -130,10 +130,11 @@ def fan_out(text: str, clients: int = 3, items: int = 30) -> str:
     return "\n".join(kept) + "\n"
 
 
-def random_kb(seed: int, cfg: ChaseConfig = ChaseConfig()) -> Optional[m.CombinedKB]:
-    """A consistent random KB whose concept C0 has cautious instances, or
-    None when this seed draws an unusable one."""
-    kb = parse_kb(random_kb_text(seed))
+def random_kb(seed: int, cfg: ChaseConfig = ChaseConfig(),
+              text_of=random_kb_text) -> Optional[m.CombinedKB]:
+    """A consistent random KB, drawn by ``text_of``, whose concept C0 has
+    cautious instances, or None when this seed draws an unusable one."""
+    kb = parse_kb(text_of(seed))
     ms = chase(clausify(kb), kb.abox, cfg)
     if ms.inconsistent:
         return None
@@ -144,11 +145,12 @@ def random_kb(seed: int, cfg: ChaseConfig = ChaseConfig()) -> Optional[m.Combine
     return kb
 
 
-def usable_kbs(count: int, start_seed: int = 0) -> list[tuple[int, m.CombinedKB]]:
+def usable_kbs(count: int, start_seed: int = 0,
+               text_of=random_kb_text) -> list[tuple[int, m.CombinedKB]]:
     out = []
     seed = start_seed
     while len(out) < count:
-        kb = random_kb(seed)
+        kb = random_kb(seed, text_of=text_of)
         if kb is not None:
             out.append((seed, kb))
         seed += 1

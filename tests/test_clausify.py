@@ -48,13 +48,18 @@ def test_reflexive_inclusion_dropped():
     ("(subclass A (or B Thing))", []),
     ("(subclass (some r B) (some r B))", []),
     ("(rule (head (p ?x)) (body))", ["p(?x) :- O(?x)."]),
+    ("(subclass A (or B (not A)))", ["B(?x0) :- A(?x0)."]),
+    ("(subclass A (or B (not A)))\n(subclass A B)", ["B(?x0) :- A(?x0)."]),
+    ("(subclass A (or (not B) (not B)))", [":- A(?x0), B(?x0)."]),
 ], ids=["not-right", "not-left", "and-under-all", "nested-all-under-all",
         "and-under-all-in-or", "some-nothing-right", "nothing-left",
         "some-nothing-left", "thing-right", "same-some-both-sides",
-        "empty-rule-body"])
+        "empty-rule-body", "not-right-repeats-left",
+        "not-right-repeats-left-then-short-rule", "not-right-twice"])
 def test_normalizer_branches(text, rules):
     """Negation on either side, conjunctions under value restrictions,
-    trivially true inclusions and an empty rule body."""
+    trivially true inclusions and an empty rule body.  A negated name on
+    the right that is already on the left is not added twice."""
     assert rules_as_strings(parse_kb(text + "\n")) == rules
 
 

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from genkb import random_kb, usable_kbs
+from genkb import (fan_out, random_eq_kb_text, random_kb, random_kb_text,
+                   usable_kbs)
 from ontominer import model as m
 from ontominer.errors import EmptyReferenceConcept
 from ontominer.kbparse import parse_kb
@@ -13,7 +14,8 @@ from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM, Counts,
                              Trie, TrieNode, chase_parts,
                              is_semantically_free, mine, refine_candidates,
                              semantic_filter, trivial_pattern)
-from ontominer.reasoner import QuerySpec, SemanticContext, answer_query
+from ontominer.reasoner import (ChaseConfig, QuerySpec, SemanticContext,
+                                answer_query)
 
 X1, X2 = m.Var("x1"), m.Var("x2")
 
@@ -432,12 +434,105 @@ def _outcome(res):
     return nodes, {d: c.as_tuple() for d, c in res.stats.per_depth.items()}
 
 
-def _full_scan(kb, cfg):
+def _full_scan(kb, cfg, chase_cfg=ChaseConfig(), signatures=False,
+               answer_key=True, verdicts=None):
     """Mine with every signature withheld, so each candidate is compared
-    against every trie node."""
+    against every trie node its answers allow; with ``signatures``, only
+    against those that share its signature.  Without ``answer_key`` the
+    miner calls ``semantic_filter`` with three arguments, which scans
+    without the answer key.  Each candidate's body, verdict and whether its
+    scan was keyed on its answers are appended to ``verdicts``."""
+    log = [] if verdicts is None else verdicts
+
+    def recorded(pattern, ctx, trie, answers=None):
+        if not answer_key:
+            answers = None
+        verdict = semantic_filter(pattern, ctx, trie, answers)
+        log.append((pattern.body, verdict, answers is not None))
+        return verdict
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SemanticContext, "signature", lambda self, q: None)
-        return mine(kb, cfg)
+        if not signatures:
+            mp.setattr(SemanticContext, "signature", lambda self, q: None)
+        mp.setattr(miner, "semantic_filter", recorded)
+        return mine(kb, cfg, chase_cfg)
+
+
+def _answer_key_verdicts(kb, cfg, chase_cfg=ChaseConfig()):
+    """The verdicts of a run with the answer key, checked against a run
+    that scans without it: the same verdict for every candidate, and the
+    same outcome."""
+    keyed, plain = [], []
+    res = _full_scan(kb, cfg, chase_cfg, signatures=True, verdicts=keyed)
+    ref = _full_scan(kb, cfg, chase_cfg, signatures=True, answer_key=False,
+                     verdicts=plain)
+    assert [v[:2] for v in keyed] == [v[:2] for v in plain]
+    assert _outcome(res) == _outcome(ref)
+    return res, keyed
+
+
+def test_answer_key_matches_scan_without_it_on_random_kbs():
+    keyed = []
+    for text_of in (random_kb_text, random_eq_kb_text):
+        for seed, kb in usable_kbs(12, text_of=text_of):
+            cfg = MiningConfig("C0", Fraction(2, 5), 3, MODE_SEM)
+            res, verdicts = _answer_key_verdicts(kb, cfg)
+            # Every scan is keyed, unless a part was truncated.
+            assert all(k == (not res.stats.truncated_parts)
+                       for _, v, k in verdicts
+                       if v not in (PRUNED_UNSAT, PRUNED_NOT_SFREE)), seed
+            keyed += verdicts
+    # The key pruned duplicates and accepted candidates without a scan.
+    assert {(v, k) for _, v, k in keyed} >= {(PRUNED_EQUIVALENT, True),
+                                             (ACCEPTED, True)}
+
+
+@pytest.mark.parametrize("kb_name", ["bank_kb", "bank_inverse_kb", "fan_out"])
+def test_answer_key_matches_scan_without_it_on_bank(request, bank_path,
+                                                    kb_name):
+    if kb_name == "fan_out":
+        kb = parse_kb(fan_out(open(bank_path, encoding="utf-8").read()))
+    else:
+        kb = request.getfixturevalue(kb_name)
+    _, verdicts = _answer_key_verdicts(
+        kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
+    assert (PRUNED_EQUIVALENT, True) in {(v, k) for _, v, k in verdicts}
+
+
+CAPPED = """
+(concept K)
+(concept A)
+(concept B)
+(concept C)
+(role r)
+(subclass A (or B (some r C)))
+(subclass B A)
+(instance K a)
+(instance A a)
+(related r a c)
+(instance C c)
+(instance K b)
+(instance B b)
+(instance K d)
+(instance A d)
+"""
+
+
+def test_truncated_full_chase_scans_without_the_answer_key():
+    """At skolem depth 0 the existential disjunct is dropped, so the
+    frozen chases make K(key), A(key) and K(key), B(key) equivalent, and d
+    answers both.  But a's witness satisfies that disjunct, so a answers
+    only the first: keyed on the computed answers, the scan would accept
+    the second.  Part d is truncated, so no scan may use the key."""
+    kb = parse_kb(CAPPED)
+    cfg = MiningConfig("K", Fraction(1, 2), 2, MODE_SEM)
+    res, verdicts = _answer_key_verdicts(kb, cfg,
+                                         ChaseConfig(skolem_depth_cap=0))
+    assert res.stats.truncated_parts == 1
+    assert not any(k for *_, k in verdicts)
+    assert [str(p) for p, _ in res.patterns] == [
+        "Q(?key) :- K(?key)", "Q(?key) :- K(?key), A(?key)"]
+    assert PRUNED_EQUIVALENT in {v for _, v, _ in verdicts}
 
 
 def test_signature_index_matches_full_scan_on_random_kbs(monkeypatch):

@@ -716,6 +716,136 @@ def test_clean_rule_skipping_changes_no_chase(monkeypatch, bank_kb,
     assert any(got[3] for got in skipping)
 
 
+# -- the one-leaf satisfiability search -------------------------------------------
+
+BACKTRACK = """
+(concept A)
+(concept B)
+(concept C)
+(concept D)
+(concept E)
+(subclass A (or B C))
+(disjoint B D)
+(disjoint C E)
+(instance A a)
+(instance D a)
+"""
+
+
+def _witness_and_full(program, facts, cfg=ChaseConfig(), extra=frozenset()):
+    """The one-leaf verdict, and whether the full chase is consistent."""
+    return (_Chase(program, facts, cfg, extra).consistent(),
+            not chase(program, facts, cfg, extra).inconsistent)
+
+
+def test_one_leaf_search_backtracks(monkeypatch):
+    """A(key), D(key): the first disjunct of A's split dies on B and D, so
+    the search goes on to the second; with E as well both die."""
+    kb = parse_kb(BACKTRACK)
+    ctx = SemanticContext(kb.without_abox())
+    saturate = _Chase._saturate
+    dead = []
+
+    def spy(self, branch):
+        result = saturate(self, branch)
+        dead.append(result == "dead")
+        return result
+
+    monkeypatch.setattr(_Chase, "_saturate", spy)
+    a_d = QuerySpec(KEY, (A(kb, "A", KEY), A(kb, "D", KEY)))
+    assert ctx.satisfiable(a_d)
+    assert dead == [False, True, False]
+    assert not ctx.satisfiable(QuerySpec(KEY, a_d.body + (A(kb, "E", KEY),)))
+    assert _witness_and_full(clausify(kb), kb.abox) == (True, True)
+
+
+def test_satisfiability_memoizes_a_bool_without_a_full_chase(monkeypatch,
+                                                             bank_kb):
+    """The verdict of a query whose models nothing has read is searched for
+    once per canonical form and kept as a bool; a query whose full frozen
+    chase is memoized is read from it."""
+    ctx = SemanticContext(bank_kb.without_abox())
+    full, searched = [], []
+    monkeypatch.setattr(reasoner, "chase", lambda *args, **kw: full.append(
+        args) or chase(*args, **kw))
+    consistent = _Chase.consistent
+    monkeypatch.setattr(_Chase, "consistent", lambda self: searched.append(
+        self) or consistent(self))
+    owner = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                            A(bank_kb, "isOwnerOf", KEY, X)))
+    renamed = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                              A(bank_kb, "isOwnerOf", KEY, Y)))
+    assert ctx.satisfiable(owner) and ctx.satisfiable(renamed)
+    assert (len(full), len(searched)) == (0, 1)
+    assert list(ctx._sat_memo.values()) == [True]
+    relative = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                               A(bank_kb, "relative", KEY, X)))
+    assert ctx.signature(relative) is not None
+    assert ctx.satisfiable(relative)
+    assert (len(full), len(searched)) == (1, 1)
+
+
+def test_one_leaf_search_bounds_live_branches():
+    """Six independent splits: breadth-first, 64 branches wait at once, so
+    the full chase exceeds a bound of 8; depth-first, at most 7 wait before
+    the first leaf."""
+    lines = ["(range r (or A B))"]
+    lines += [f"(related r s t{i})" for i in range(6)]
+    kb = parse_kb("\n".join(lines) + "\n")
+    program = clausify(kb)
+    with pytest.raises(BranchLimitExceeded):
+        chase(program, kb.abox, ChaseConfig(max_branches=8))
+    assert _Chase(program, kb.abox, ChaseConfig(max_branches=7)).consistent()
+    with pytest.raises(BranchLimitExceeded):
+        _Chase(program, kb.abox, ChaseConfig(max_branches=6)).consistent()
+
+
+def test_one_leaf_search_matches_full_chase(monkeypatch, bank_kb,
+                                            bank_inverse_kb):
+    """The depth-first search finds a consistent leaf exactly when the
+    full chase has one: on genkb KBs, some of them inconsistent, the
+    backtracking KB, and the frozen query of every satisfiability test of
+    sem runs on genkb KBs and both bank KBs, plus an unsatisfiable one."""
+    cases = []
+    for seed in range(200):
+        for label, text in (("kb", random_kb_text(seed)),
+                            ("eq kb", random_eq_kb_text(seed))):
+            kb = parse_kb(text)
+            cases.append((f"{label} {seed}", (clausify(kb), kb.abox)))
+    backtrack = parse_kb(BACKTRACK)
+    cases.append(("backtrack", (clausify(backtrack), backtrack.abox)))
+    runs = [(kb, "Client", Fraction(1, 2)) for kb in (bank_kb, bank_inverse_kb)]
+    runs += [(kb, "C0", Fraction(2, 5))
+             for text_of in (random_kb_text, random_eq_kb_text)
+             for _, kb in usable_kbs(8, text_of=text_of)]
+    asked = []
+    satisfiable = SemanticContext.satisfiable
+
+    def recorded(self, q):
+        asked.append((self, q))
+        return satisfiable(self, q)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SemanticContext, "satisfiable", recorded)
+        for kb, ref, minsup in runs:
+            mine(kb, MiningConfig(ref, minsup, 3, MODE_SEM))
+    ctx = SemanticContext(bank_kb.without_abox())
+    asked.append((ctx, QuerySpec(KEY, (A(bank_kb, "Account", KEY),
+                                       A(bank_kb, "CreditCard", KEY)))))
+    seen = set()
+    for ctx, q in asked:
+        if (id(ctx), canonical_query(q)) not in seen:
+            seen.add((id(ctx), canonical_query(q)))
+            facts, extra = ctx._freeze(q)
+            cases.append((f"frozen {q}", (ctx.program, facts, ctx.cfg, extra)))
+    assert len(seen) > 300
+    verdicts = {name: _witness_and_full(*args) for name, args in cases}
+    assert [name for name, (witness, full) in verdicts.items()
+            if witness != full] == []
+    assert {full for _, full in verdicts.values()} == {True, False}
+    assert not verdicts[f"frozen {asked[-1][1]}"][1]
+
+
 def test_chase_fully_deterministic(bank_kb):
     program = clausify(bank_kb)
     first = chase(program, bank_kb.abox)
