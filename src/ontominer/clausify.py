@@ -132,11 +132,10 @@ class GroundProgram:
 
     @cached_property
     def chase_plan(self) -> tuple:
-        """``(horn, existential, disjunctive, body_preds, equality)`` for the
-        chase, computed once per program: ``(index, body, heads, nvars)`` per
-        rule of each kind, in firing order (existential rules last, to see
-        the round's consequences when they seek a witness), the predicates
-        but ``O`` that each rule's body reads, and whether a rule has ``=``."""
+        """The chase's ``(index, body, heads, nvars)`` per rule of each kind
+        in firing order (existential rules last, to see the round's
+        consequences), each rule's body predicates but ``O``, and whether a
+        rule has ``=``."""
         def of_kind(keep) -> tuple:
             return tuple((i,) + r.compiled for i, r in enumerate(self.rules)
                          if keep(r))

@@ -31,12 +31,10 @@ Every candidate takes one path in every mode: it gets a verdict, and
 support.  In ``sem`` mode the verdict comes from three tests, in order:
 satisfiability against the intensional KB, semantic freeness (no
 non-reference atom is deducible from the rest), and non-equivalence to any
-frequent pattern already in the trie.  The last evaluates the candidate's
-support first and compares it only with the nodes that have its answers and
-its frozen-chase signature (``SemanticContext.signature``), so with none
-when it is infrequent; if a part of the full chase is truncated, computed
-answers are not certain and only the signature is compared.  ``nosem``
-skips all three and accepts every candidate.
+frequent pattern already in the trie, tested only against the nodes that
+may be equivalent to it by frozen-chase signature and, unless a part of the
+full chase is truncated, by certain answers (``Trie.equivalence_scan``).
+``nosem`` skips all three and accepts every candidate.
 
 Ordering is deterministic everywhere: bias order is KB declaration order,
 dependent atoms are ordered by predicate then placement, and counters,
@@ -48,10 +46,9 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -127,10 +124,11 @@ class TrieNode:
     """One atom of a pattern; the root-to-node path is the pattern itself."""
 
     __slots__ = ("atom", "pattern", "support", "depth", "parent", "children",
-                 "seq")
+                 "seq", "answers")
 
     def __init__(self, atom: m.Atom, pattern: QuerySpec, support: Fraction,
-                 depth: int, parent: Optional["TrieNode"]):
+                 depth: int, parent: Optional["TrieNode"],
+                 answers: Optional[frozenset] = None):
         self.atom = atom
         self.pattern = pattern
         self.support = support
@@ -138,6 +136,7 @@ class TrieNode:
         self.parent = parent
         self.children: list[TrieNode] = []
         self.seq = 0
+        self.answers = answers
 
     def right_brothers(self) -> list["TrieNode"]:
         if self.parent is None:
@@ -150,46 +149,47 @@ class TrieNode:
 
 
 class Trie:
-    def __init__(self, root: TrieNode, answers: Optional[frozenset] = None):
+    def __init__(self, root: TrieNode):
         self.root = root
-        # Per certain-answer set (None: every node), the nodes in ``seq``
-        # order, the nodes by frozen-chase signature (None: the chase has
-        # none), and the nodes registered since that set's last scan; the
-        # signatures are computed only by ``semantic_filter``'s scans.
-        self._groups = defaultdict(lambda: ([], {}, []))
-        self._add(root, answers)
+        # Every node in registration order, which is ``seq`` order.
+        self._nodes: list[TrieNode] = [root]
+        # Equivalence-scan index, filled lazily by ``semantic_filter`` so
+        # that runs without the semantic tests never compute a signature:
+        # nodes by frozen-chase signature (None: the chase has none), and
+        # nodes registered since the last scan.
+        self.by_signature: dict[Optional[frozenset], list[TrieNode]] = {}
+        self.unindexed: list[TrieNode] = [root]
 
-    def register(self, parent: TrieNode, node: TrieNode,
-                 answers: Optional[frozenset] = None) -> None:
+    def register(self, parent: TrieNode, node: TrieNode) -> None:
+        node.seq = len(self._nodes)
         parent.children.append(node)
-        self._add(node, answers)
-
-    def _add(self, node: TrieNode, answers: Optional[frozenset]) -> None:
-        node.seq = len(self._groups[None][0])
-        for key in {None, answers}:
-            nodes, _, unindexed = self._groups[key]
-            nodes.append(node)
-            unindexed.append(node)
+        self._nodes.append(node)
+        self.unindexed.append(node)
 
     def nodes(self) -> list[TrieNode]:
-        return list(self._groups[None][0])
+        return list(self._nodes)
 
     def equivalence_scan(self, pattern: QuerySpec, ctx: SemanticContext,
                          answers: Optional[frozenset] = None) -> list:
-        """The nodes ``pattern`` may be equivalent to: of those registered
-        with ``answers`` (every node if None), the ones sharing its
-        signature plus those without one, or all of them if it has none."""
-        group = self._groups.get(answers)
-        if group is None:
-            return []
-        nodes, by_signature, unindexed = group
+        """The nodes ``pattern`` may be equivalent to: those sharing its
+        signature plus those without one, or every node when it has none.
+        Given its certain ``answers``, fewer: containment read from an
+        untruncated chase is sound, so a node with a signature contains
+        ``pattern`` only if its answers are a subset of ``pattern``'s, equal
+        if ``pattern`` has one too; if no node's are, it needs none."""
+        for node in self.unindexed:
+            self.by_signature.setdefault(
+                ctx.signature(node.pattern), []).append(node)
+        self.unindexed = []
+        unsigned = self.by_signature.get(None, [])
+        if answers is not None and not any(
+                node.answers <= answers for node in self._nodes):
+            return unsigned
         signature = ctx.signature(pattern)
-        for node in unindexed:
-            by_signature.setdefault(ctx.signature(node.pattern), []).append(node)
-        unindexed.clear()
         if signature is None:
-            return list(nodes)
-        return by_signature.get(signature, []) + by_signature.get(None, [])
+            return self.nodes()
+        return [node for node in self.by_signature.get(signature, [])
+                if answers is None or node.answers == answers] + unsigned
 
 
 @dataclass(frozen=True)
@@ -453,11 +453,8 @@ def is_semantically_free(pattern: QuerySpec, ctx: SemanticContext) -> bool:
 def semantic_filter(pattern: QuerySpec, ctx: SemanticContext, trie: Trie,
                     answers: Optional[Callable[[], frozenset]] = None) -> str:
     """Satisfiability, then semantic freeness, then the equivalence scan
-    over the trie nodes that share the candidate's signature and, if given
-    a function ``answers``, called once both tests pass, its certain
-    answers: equivalent patterns have equal ones, so a candidate whose
-    answers no node has (any infrequent one) needs no signature.  Give
-    ``answers`` only if no part was truncated."""
+    over the trie nodes that share the candidate's signature and the
+    certain answers that ``answers``, if given, returns once both pass."""
     if not ctx.satisfiable(pattern):
         return PRUNED_UNSAT
     if not is_semantically_free(pattern, ctx):
@@ -510,9 +507,9 @@ class _Miner:
 
     def run(self) -> MineResult:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
-        root = TrieNode(root_pattern.body[0], root_pattern, Fraction(1), 1, None)
-        trie = Trie(root, self.evaluator.reference_extension
-                    if self.keyed else None)
+        root = TrieNode(root_pattern.body[0], root_pattern, Fraction(1), 1,
+                        None, self.evaluator.reference_extension)
+        trie = Trie(root)
         # One row per depth up to the limit, whichever depths get candidates.
         for depth in range(1, self.cfg.max_depth + 1):
             self.stats.at(depth)
@@ -520,9 +517,6 @@ class _Miner:
         self.expand_node(root, trie, self.evaluator.start())
         patterns = [(n.pattern, n.support) for n in trie.nodes()]
         return MineResult(trie, patterns, self.stats)
-
-    def _answers(self, matches: Matches, atom: m.Atom) -> frozenset[str]:
-        return frozenset(self.evaluator.extend(matches, atom).bindings)
 
     def expand_node(self, node: TrieNode, trie: Trie,
                     matches: Matches) -> None:
@@ -534,21 +528,21 @@ class _Miner:
         counts = self.stats.at(node.depth + 1)
         for atom in refine_candidates(node, self.bias):
             child_pattern = QuerySpec(KEY, node.pattern.body + (atom,))
-            evaluate = partial(self._answers, matches, atom)
-            if self.cfg.mode == MODE_NOSEM:
-                verdict = ACCEPTED
-            else:
-                evaluate = cache(evaluate)
+            verdict, evaluate = ACCEPTED, None
+            if self.cfg.mode != MODE_NOSEM:
+                evaluate = cache(lambda: frozenset(
+                    self.evaluator.extend(matches, atom).bindings))
                 verdict = semantic_filter(child_pattern, self.ctx, trie,
                                           evaluate if self.keyed else None)
             frequent = False
             if verdict == ACCEPTED:
-                answers = evaluate()
+                answers = (self.evaluator.extend(matches, atom).bindings
+                           if evaluate is None else evaluate())
                 frequent = len(answers) >= self.min_answers
                 if frequent:
                     trie.register(node, TrieNode(
                         atom, child_pattern, self.evaluator.fraction(answers),
-                        node.depth + 1, node), answers if self.keyed else None)
+                        node.depth + 1, node, answers if self.keyed else None))
             counts.record(verdict, frequent)
         if node.depth + 1 < self.cfg.max_depth:
             for child in node.children:

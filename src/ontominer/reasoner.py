@@ -45,9 +45,8 @@ The chase and query answering are functions of their inputs, but two
 things keep state.  ``canonical_query`` memoizes into a process-global
 ``lru_cache``, so a second mining run in one process finds its forms cached
 and runs faster; time each run in a process of its own.  Each
-``SemanticContext`` keeps unlocked memos of frozen chases and of
-satisfiability verdicts (see there) and no index of their models;
-``SupportEvaluator`` keeps its parts' indexes.
+``SemanticContext`` keeps unlocked memos (see there) and no index of their
+models; ``SupportEvaluator`` keeps its parts' indexes.
 """
 
 from __future__ import annotations
@@ -138,9 +137,12 @@ def _match(by_pred: dict[str, list], consts: Sequence[str], named: frozenset,
     pred, slots = body[i]
     if pred == m.O_PRED:
         s = slots[0]
-        value = s[1] if s[0] == "c" else binding[s[1]]
-        if value is not None:
-            if value in named:
+        if s[0] == "c":
+            if s[1] in named:
+                yield from _match(by_pred, consts, named, named_sorted, body,
+                                  i + 1, binding)
+        elif binding[s[1]] is not None:
+            if binding[s[1]] in named:
                 yield from _match(by_pred, consts, named, named_sorted, body,
                                   i + 1, binding)
         else:
@@ -233,8 +235,7 @@ class _Branch:
 
 
 class _Chase:
-    """One chase over branches: ``run`` visits every leaf, ``consistent``
-    stops at the first consistent one.  ``_fire`` skips each clean
+    """One chase over branches (see ``_leaves``).  ``_fire`` skips each clean
     rule (``_clean``), whose match would add no atom, create no skolem and
     set no flag, so every added atom, skolem name, ``truncated`` and model
     is what matching every rule gives."""
@@ -439,8 +440,7 @@ class _Chase:
                         inconsistent=not finished, truncated=self.truncated)
 
     def consistent(self) -> bool:
-        """True iff some leaf is consistent: ``not run().inconsistent``,
-        found by a depth-first search that stops at the first such leaf."""
+        """``not run().inconsistent``, stopping at the first consistent leaf."""
         return next(self._leaves(depth_first=True), None) is not None
 
     def _minimize(self, branches: list[_Branch]) -> tuple[frozenset, ...]:
@@ -563,11 +563,15 @@ def split_abox(program: GroundProgram, facts: Sequence[m.Atom]
             for root, consts in members.items()]
 
 
+def ground_tuple(atom: m.Atom) -> GroundAtom:
+    return (atom.pred,) + tuple(t.name for t in atom.args)
+
+
 def cautious_entails(ms: ModelSet, atom: m.Atom) -> bool:
     """True iff the ground atom holds in every minimal model."""
     if ms.inconsistent:
         raise InconsistentKB("cautious entailment undefined: KB is inconsistent")
-    t = (atom.pred,) + tuple(c.name for c in atom.args)
+    t = ground_tuple(atom)
     return all(t in model for model in ms.models)
 
 
@@ -724,10 +728,9 @@ def _swap_fixes(body: Counter, u: int, v: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class SemanticContext:
-    """The clausified intensional program plus two memos keyed by
-    canonical form: full frozen chases, built only for the queries whose
-    models are read (signatures, the specific side of a containment test),
-    and one satisfiability bool for each other query.
+    """The clausified intensional program plus two memos by canonical form:
+    full frozen chases, for the queries whose models are read (signatures,
+    the specific side of a containment test), and satisfiability bools.
 
     The memos are per context and not locked, so share a context across
     threads only for reading after warm-up, or confine it to one thread
@@ -775,16 +778,20 @@ class SemanticContext:
             frozenset(ms.individuals), ms.individuals)
 
     def satisfiable(self, q: QuerySpec) -> bool:
-        """True iff the frozen chase of ``q`` has a consistent leaf: read
-        from its full chase if memoized, else from a one-leaf search."""
+        """True iff the frozen chase of ``q`` has a consistent leaf, read from
+        the full chase if memoized or if a one-leaf search, depth-first, waits
+        on more branches than ``cfg.max_branches``; else from that search."""
         form = canonical_query(q)
-        if form in self._frozen_memo:
-            return not self._frozen_memo[form].inconsistent
-        if form not in self._sat_memo:
+        if form not in self._frozen_memo and form not in self._sat_memo:
             facts, consts = self._freeze(q)
-            self._sat_memo[form] = _Chase(self.program, facts, self.cfg,
-                                          consts).consistent()
-        return self._sat_memo[form]
+            try:
+                self._sat_memo[form] = _Chase(self.program, facts, self.cfg,
+                                              consts).consistent()
+            except BranchLimitExceeded:
+                pass
+        if form in self._sat_memo:
+            return self._sat_memo[form]
+        return not self._frozen_chase(q, form).inconsistent
 
     def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         """True iff q1 is at least as general as q2 (q1 contains q2)."""

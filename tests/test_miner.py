@@ -435,7 +435,7 @@ def _outcome(res):
 
 
 def _full_scan(kb, cfg, chase_cfg=ChaseConfig(), signatures=False,
-               answer_key=True, verdicts=None):
+               answer_key=False, verdicts=None):
     """Mine with every signature withheld, so each candidate is compared
     against every trie node its answers allow; with ``signatures``, only
     against those that share its signature.  Without ``answer_key`` the
@@ -463,20 +463,24 @@ def _answer_key_verdicts(kb, cfg, chase_cfg=ChaseConfig()):
     that scans without it: the same verdict for every candidate, and the
     same outcome."""
     keyed, plain = [], []
-    res = _full_scan(kb, cfg, chase_cfg, signatures=True, verdicts=keyed)
-    ref = _full_scan(kb, cfg, chase_cfg, signatures=True, answer_key=False,
-                     verdicts=plain)
+    res = _full_scan(kb, cfg, chase_cfg, signatures=True, answer_key=True,
+                     verdicts=keyed)
+    ref = _full_scan(kb, cfg, chase_cfg, signatures=True, verdicts=plain)
     assert [v[:2] for v in keyed] == [v[:2] for v in plain]
     assert _outcome(res) == _outcome(ref)
     return res, keyed
 
 
-def test_answer_key_matches_scan_without_it_on_random_kbs():
+@pytest.mark.parametrize("cap", [3, 1, 0])
+def test_answer_key_matches_scan_without_it_on_random_kbs(cap):
+    """At the default skolem cap, and at caps where frozen chases are
+    truncated far more often than parts."""
     keyed = []
     for text_of in (random_kb_text, random_eq_kb_text):
         for seed, kb in usable_kbs(12, text_of=text_of):
             cfg = MiningConfig("C0", Fraction(2, 5), 3, MODE_SEM)
-            res, verdicts = _answer_key_verdicts(kb, cfg)
+            res, verdicts = _answer_key_verdicts(
+                kb, cfg, ChaseConfig(skolem_depth_cap=cap))
             # Every scan is keyed, unless a part was truncated.
             assert all(k == (not res.stats.truncated_parts)
                        for _, v, k in verdicts
@@ -533,6 +537,32 @@ def test_truncated_full_chase_scans_without_the_answer_key():
     assert [str(p) for p, _ in res.patterns] == [
         "Q(?key) :- K(?key)", "Q(?key) :- K(?key), A(?key)"]
     assert PRUNED_EQUIVALENT in {v for _, v, _ in verdicts}
+
+
+@pytest.mark.parametrize("first", ["A", "B"])
+def test_truncated_frozen_chase_is_compared_under_the_answer_key(first):
+    """With e in place of d no part is truncated, so the scans are keyed,
+    but the frozen chase of K(key), A(key) still is, and makes it
+    equivalent to K(key), B(key), though a answers only the first.  Mined
+    first, it is a node without a signature, which every candidate is
+    compared with; mined second, no node has its answers, but those of
+    K(key), B(key) fall below them, so it takes a signature and, having
+    none, is compared with every node.  Both ways the duplicate is pruned,
+    as without the key."""
+    text = CAPPED.replace("(instance K d)\n(instance A d)\n",
+                          "(instance K e)\n")
+    if first == "B":
+        text = text.replace("(concept A)\n(concept B)",
+                            "(concept B)\n(concept A)")
+    cfg = MiningConfig("K", Fraction(1, 3), 2, MODE_SEM)
+    res, verdicts = _answer_key_verdicts(parse_kb(text), cfg,
+                                         ChaseConfig(skolem_depth_cap=0))
+    assert res.stats.truncated_parts == 0
+    assert (PRUNED_EQUIVALENT, True) in {(v, k) for _, v, k in verdicts}
+    mined = {str(p) for p, _ in res.patterns}
+    second = "B" if first == "A" else "A"
+    assert f"Q(?key) :- K(?key), {first}(?key)" in mined
+    assert f"Q(?key) :- K(?key), {second}(?key)" not in mined
 
 
 def test_signature_index_matches_full_scan_on_random_kbs(monkeypatch):

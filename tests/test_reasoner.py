@@ -800,6 +800,34 @@ def test_one_leaf_search_bounds_live_branches():
         _Chase(program, kb.abox, ChaseConfig(max_branches=6)).consistent()
 
 
+CHAIN = """
+(concept A)
+(concept C)
+(role r)
+(subclass A (or (some r A) C))
+(disjoint A C)
+"""
+
+
+def test_satisfiability_falls_back_to_the_full_chase_past_the_bound():
+    """Each split of A's chain keeps its dead C sibling waiting below it
+    depth-first, one more per level, while breadth-first drops it at once:
+    the search exceeds a bound the full chase keeps, so ``satisfiable``
+    takes the full chase's verdict (inconsistent, as the chain ends at the
+    depth cap) and raises only where that chase does."""
+    kb = parse_kb(CHAIN)
+    cfg = ChaseConfig(max_branches=4, skolem_depth_cap=6)
+    frozen = [A(kb, "A", "$q0")]
+    with pytest.raises(BranchLimitExceeded):
+        _Chase(clausify(kb), frozen, cfg).consistent()
+    assert chase(clausify(kb), frozen, cfg).inconsistent
+    query = QuerySpec(KEY, (A(kb, "A", KEY),))
+    assert not SemanticContext(kb, cfg).satisfiable(query)
+    with pytest.raises(BranchLimitExceeded):
+        SemanticContext(kb, ChaseConfig(max_branches=2, skolem_depth_cap=6)
+                        ).satisfiable(query)
+
+
 def test_one_leaf_search_matches_full_chase(monkeypatch, bank_kb,
                                             bank_inverse_kb):
     """The depth-first search finds a consistent leaf exactly when the
