@@ -34,6 +34,8 @@ non-reference atom is deducible from the rest), and non-equivalence to any
 frequent pattern already in the trie, tested only against the nodes that
 may be equivalent to it by frozen-chase signature and, unless a part of the
 full chase is truncated, by certain answers (``Trie.equivalence_scan``).
+Those answers come first when no disjunctive rule has an existential
+disjunct: a candidate with one is satisfiable and is not searched.
 ``nosem`` skips all three and accepts every candidate.
 
 Ordering is deterministic everywhere: bias order is KB declaration order,
@@ -443,9 +445,9 @@ def is_semantically_free(pattern: QuerySpec, ctx: SemanticContext) -> bool:
     reference atom removed first (so the reference atom itself can never be
     the redundant one)."""
     reduced = pattern.body[1:]
+    whole = QuerySpec(KEY, reduced)
     for i in range(len(reduced)):
-        without = reduced[:i] + reduced[i + 1:]
-        if ctx.subsumes(QuerySpec(KEY, reduced), QuerySpec(KEY, without)):
+        if ctx.subsumes(whole, QuerySpec(KEY, reduced[:i] + reduced[i + 1:])):
             return False
     return True
 
@@ -454,8 +456,12 @@ def semantic_filter(pattern: QuerySpec, ctx: SemanticContext, trie: Trie,
                     answers: Optional[Callable[[], frozenset]] = None) -> str:
     """Satisfiability, then semantic freeness, then the equivalence scan
     over the trie nodes that share the candidate's signature and the
-    certain answers that ``answers``, if given, returns once both pass."""
-    if not ctx.satisfiable(pattern):
+    certain answers that ``answers``, if given, returns.  With those and
+    ``ctx.witnessable``, a candidate with an answer is satisfiable and is
+    not searched: its match lies in an untruncated full-KB model, and no
+    split drops a child, as no disjunct is existential."""
+    witnessed = answers is not None and ctx.witnessable and answers()
+    if not witnessed and not ctx.satisfiable(pattern):
         return PRUNED_UNSAT
     if not is_semantically_free(pattern, ctx):
         return PRUNED_NOT_SFREE

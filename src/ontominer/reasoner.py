@@ -16,8 +16,9 @@ The chase saturates a fact set under the program rules, branch by branch:
     instances with a disjunct already true.
   * Constraints (empty heads) kill the branch.
 
-A single-head rule is matched again only after its body's predicates gain
-an atom, so a child branch re-runs only the rules its disjunct can feed.
+A rule is matched again only after its body's predicates gain an atom, so
+a child branch re-runs only the rules its disjunct can feed; until then a
+disjunctive rule's instances open at its last match are tested instead.
 
 Saturated consistent branches are projected to atoms over named constants
 and reduced to subset-minimal representatives.  Cautious entailment is
@@ -36,7 +37,8 @@ product of their models, which is what ``chase`` of the whole KB returns.
 Satisfiability and containment of DL-safe queries follow the freeze-and-ask
 scheme: ground the query variables with fresh constants that are granted
 O membership, assert the body, chase, and inspect the result.  These tests
-run against the intensional part of the KB (ground facts removed).
+run against the intensional part of the KB (ground facts removed); the
+miner spares the first where a candidate's certain answers witness it.
 
 ``canonical_query`` gives queries equal up to renaming one form, exactly
 and at any size, by colour refinement and individualization.
@@ -45,7 +47,7 @@ The chase and query answering are functions of their inputs, but two
 things keep state.  ``canonical_query`` memoizes into a process-global
 ``lru_cache``, so a second mining run in one process finds its forms cached
 and runs faster; time each run in a process of its own.  Each
-``SemanticContext`` keeps unlocked memos (see there) and no index of their
+``SemanticContext`` keeps an unlocked memo (see there) and no index of its
 models; ``SupportEvaluator`` keeps its parts' indexes.
 """
 
@@ -190,10 +192,12 @@ def _match(by_pred: dict[str, list], consts: Sequence[str], named: frozenset,
 class _Branch:
     """A branch's atoms and constants.  The atom count serves as a clock:
     ``stamp`` maps a predicate (``$top`` for a new constant) to the count
-    after its last addition, and ``ran`` a rule index to the count at its
-    last match in this branch or an ancestor."""
+    after its last addition, ``ran`` a rule index to the count at its last
+    match in this branch or an ancestor, and ``open`` a disjunctive rule
+    index to its instances then open (lists that clones share, unchanged)."""
 
-    __slots__ = ("atoms", "by_pred", "consts", "const_set", "stamp", "ran")
+    __slots__ = ("atoms", "by_pred", "consts", "const_set", "stamp", "ran",
+                 "open")
 
     def __init__(self, atoms: Iterable[GroundAtom], base_consts: Sequence[str]):
         self.atoms: set = set()
@@ -202,6 +206,7 @@ class _Branch:
         self.const_set: set[str] = set()
         self.stamp: dict[str, int] = {}
         self.ran: dict[int, int] = {}
+        self.open: dict[int, list[tuple]] = {}
         for c in base_consts:
             self._note_const(c)
         for a in atoms:
@@ -223,7 +228,8 @@ class _Branch:
             self._note_const(c)
         return True
 
-    def clone(self) -> "_Branch":
+    def clone(self, atoms: Iterable[GroundAtom] = ()) -> "_Branch":
+        """A copy of this branch with ``atoms`` added."""
         b = _Branch.__new__(_Branch)
         b.atoms = set(self.atoms)
         b.by_pred = {k: list(v) for k, v in self.by_pred.items()}
@@ -231,6 +237,9 @@ class _Branch:
         b.const_set = set(self.const_set)
         b.stamp = dict(self.stamp)
         b.ran = dict(self.ran)
+        b.open = dict(self.open)
+        for a in atoms:
+            b.add(a)
         return b
 
 
@@ -316,8 +325,8 @@ class _Chase:
     def _clean(self, branch: _Branch, index: int) -> bool:
         """True iff rule ``index`` was matched in this branch or an ancestor
         and no predicate of its body has gained an atom (``$top``: a
-        constant) since.  Matching it again would find the same bindings,
-        whose heads already hold, or are past the depth cap, or were a
+        constant) since.  A rematch would find the same bindings in order;
+        a single head holds for each, is past the depth cap, or is a
         constraint that did not fire, so it would add nothing."""
         ran = branch.ran.get(index)
         if ran is None:
@@ -398,21 +407,22 @@ class _Chase:
     def _split(self, branch: _Branch) -> Optional[list[_Branch]]:
         """Find the first disjunctive instance with no disjunct true and
         branch on it, one child per disjunct that can be made true.  No
-        witness is created before every disjunct is known to be false."""
+        witness is created before every disjunct is known to be false.  A
+        clean rule (``_clean``) would match its last instances in order, and
+        a true disjunct stays true, so only those then open are tested."""
         for index, body, heads, nvars in self.disjunctive:
-            for b in map(tuple, self._matches(branch, body, nvars)):
-                if any(self._option_satisfied(branch, h, b) for h in heads):
-                    continue
-                children = []
-                for di, head in enumerate(heads):
-                    atoms = self._head_atoms(branch, index, di, b, head)
-                    if not atoms:
-                        continue
-                    child = branch.clone()
-                    for a in atoms:
-                        child.add(a)
-                    children.append(child)
-                return children
+            if self._clean(branch, index):
+                instances = branch.open[index]
+            else:
+                branch.ran[index] = len(branch.atoms)
+                instances = map(tuple, self._matches(branch, body, nvars))
+            branch.open[index] = pending = [
+                b for b in instances
+                if not any(self._option_satisfied(branch, h, b) for h in heads)]
+            if pending:
+                options = [self._head_atoms(branch, index, di, pending[0], h)
+                           for di, h in enumerate(heads)]
+                return [branch.clone(atoms) for atoms in options if atoms]
         return None
 
     # -- driver -------------------------------------------------------------------
@@ -450,7 +460,7 @@ class _Chase:
             # Built by insertion: a frozenset copied from a set starts from
             # a larger hash table, which memoized models would keep.
             model = frozenset(a for a in br.atoms
-                              if all(c in self.individuals for c in a[1:]))
+                              if self.individuals.issuperset(a[1:]))
             if model not in seen:
                 seen.add(model)
                 projected.append(model)
@@ -728,11 +738,12 @@ def _swap_fixes(body: Counter, u: int, v: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class SemanticContext:
-    """The clausified intensional program plus two memos by canonical form:
+    """The clausified intensional program plus one memo by canonical form:
     full frozen chases, for the queries whose models are read (signatures,
-    the specific side of a containment test), and satisfiability bools.
+    the specific side of a containment test).  ``witnessable``: no
+    disjunctive rule has an existential disjunct (``miner.semantic_filter``).
 
-    The memos are per context and not locked, so share a context across
+    The memo is per context and not locked, so share a context across
     threads only for reading after warm-up, or confine it to one thread
     (the miner is single-threaded).
     """
@@ -742,7 +753,8 @@ class SemanticContext:
         self.base_facts = tuple(kb_cp.abox)
         self.cfg = cfg
         self._frozen_memo: dict[tuple, ModelSet] = {}
-        self._sat_memo: dict[tuple, bool] = {}
+        self.witnessable = all(head[0] == "atom" for _, _, heads, _
+                               in self.program.chase_plan[2] for head in heads)
 
     def _freeze(self, q: QuerySpec) -> tuple[list[m.Atom], frozenset[str]]:
         """The base facts plus the body with variable i replaced by the
@@ -778,25 +790,22 @@ class SemanticContext:
             frozenset(ms.individuals), ms.individuals)
 
     def satisfiable(self, q: QuerySpec) -> bool:
-        """True iff the frozen chase of ``q`` has a consistent leaf, read from
-        the full chase if memoized or if a one-leaf search, depth-first, waits
-        on more branches than ``cfg.max_branches``; else from that search."""
-        form = canonical_query(q)
-        if form not in self._frozen_memo and form not in self._sat_memo:
-            facts, consts = self._freeze(q)
-            try:
-                self._sat_memo[form] = _Chase(self.program, facts, self.cfg,
-                                              consts).consistent()
-            except BranchLimitExceeded:
-                pass
-        if form in self._sat_memo:
-            return self._sat_memo[form]
-        return not self._frozen_chase(q, form).inconsistent
+        """True iff the frozen chase of ``q`` has a consistent leaf, found by
+        a one-leaf search, depth-first, on every call; read from the full
+        chase (memoized) only if that search waits on more branches than
+        ``cfg.max_branches``."""
+        facts, consts = self._freeze(q)
+        try:
+            return _Chase(self.program, facts, self.cfg, consts).consistent()
+        except BranchLimitExceeded:
+            return not self._frozen_chase(q, canonical_query(q)).inconsistent
 
     def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
-        """True iff q1 is at least as general as q2 (q1 contains q2)."""
-        c1, c2 = canonical_query(q1), canonical_query(q2)
-        return c1 == c2 or self._contains(q1, q2, c2)
+        """True iff q1 is at least as general as q2 (q1 contains q2).
+        Bodies of different lengths never share a canonical form."""
+        c2 = canonical_query(q2)
+        return (len(q1.body) == len(q2.body) and canonical_query(q1) == c2
+                or self._contains(q1, q2, c2))
 
     def equivalent(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         c1, c2 = canonical_query(q1), canonical_query(q2)

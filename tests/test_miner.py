@@ -565,6 +565,42 @@ def test_truncated_frozen_chase_is_compared_under_the_answer_key(first):
     assert f"Q(?key) :- K(?key), {second}(?key)" not in mined
 
 
+GUARD = """
+(concept A)
+(concept C)
+(role r)
+(subclass A (or (some r A) C))
+(disjoint A C)
+(instance A a)
+(related r a a)
+"""
+
+
+def test_answers_witness_satisfiability_only_without_existential_disjuncts(
+        monkeypatch, bank_kb):
+    """r(a, a) settles a's disjunction, so no part is truncated and the
+    scans are keyed.  But a frozen chase of A(key) without an r-loop runs
+    the chain of A's existential disjunct past the depth cap and drops it,
+    so it is inconsistent, and A(key), r(key, x1), which a answers, is
+    pruned as unsatisfiable with or without the key: its answer witnesses
+    nothing.  bank.kb has no existential disjunct, so there the answers
+    spare some satisfiability searches."""
+    kb = parse_kb(GUARD)
+    cfg = MiningConfig("A", Fraction(1, 2), 2, MODE_SEM)
+    res, verdicts = _answer_key_verdicts(kb, cfg)
+    assert res.stats.truncated_parts == 0
+    assert res.stats.at(2).as_tuple() == (2, 0, 0, 0, 0)
+    assert [v for _, v, _ in verdicts] == [PRUNED_UNSAT] * 2
+    assert SemanticContext(kb.without_abox()).witnessable is False
+    satisfiable = SemanticContext.satisfiable
+    searched = []
+    monkeypatch.setattr(SemanticContext, "satisfiable", lambda self, q: (
+        searched.append(q) or satisfiable(self, q)))
+    res = mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
+    tested = sum(c.gen for d, c in res.stats.per_depth.items() if d > 1)
+    assert 0 < len(searched) < tested
+
+
 def test_signature_index_matches_full_scan_on_random_kbs(monkeypatch):
     signature = SemanticContext.signature
     unsigned = []

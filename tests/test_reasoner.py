@@ -716,6 +716,104 @@ def test_clean_rule_skipping_changes_no_chase(monkeypatch, bank_kb,
     assert any(got[3] for got in skipping)
 
 
+class _RematchingChase(_Chase):
+    """The chase whose ``_split`` matches every disjunctive rule again on
+    every branch and keeps no open instances."""
+
+    def _split(self, branch):
+        for index, body, heads, nvars in self.disjunctive:
+            for b in map(tuple, self._matches(branch, body, nvars)):
+                if any(self._option_satisfied(branch, h, b) for h in heads):
+                    continue
+                children = []
+                for di, head in enumerate(heads):
+                    atoms = self._head_atoms(branch, index, di, b, head)
+                    if not atoms:
+                        continue
+                    child = branch.clone()
+                    for a in atoms:
+                        child.add(a)
+                    children.append(child)
+                return children
+        return None
+
+
+REGROW = """
+(concept A)
+(concept B)
+(concept C)
+(role r)
+(subclass A (or B C))
+(subclass B (all r A))
+(instance A a)
+(related r a b)
+"""
+
+
+def _split_outcome(chase_class, program, facts, cfg=ChaseConfig(),
+                   extra=frozenset()):
+    run = chase_class(program, facts, cfg, extra)
+    ms = run.run()
+    try:
+        consistent = chase_class(program, facts, cfg, extra).consistent()
+    except BranchLimitExceeded:
+        consistent = None
+    return (ms.models, ms.inconsistent, ms.truncated,
+            list(run.skolem_memo.items()), consistent)
+
+
+def test_open_instances_change_no_split(monkeypatch, bank_kb,
+                                        bank_inverse_kb):
+    """Testing a clean disjunctive rule's open instances, not rematching
+    it, gives every chase and every one-leaf search the models, verdicts,
+    truncation and skolem constants of rematching: on genkb programs and
+    KBs, ``REGROW`` (whose B child gains A(b), a new instance of the rule
+    it split on) and every frozen query of sem runs on both bank KBs."""
+    regrow = parse_kb(REGROW)
+    cases = [("regrow", (clausify(regrow), regrow.abox))]
+    for seed in range(200):
+        cases.append((f"program {seed}", random_program(seed)))
+        cases.append((f"eq program {seed}", random_eq_program(seed)))
+        for label, text in (("kb", random_kb_text(seed)),
+                            ("eq kb", random_eq_kb_text(seed))):
+            kb = parse_kb(text)
+            cases.append((f"{label} {seed}", (clausify(kb), kb.abox)))
+    frozen = {}
+    freeze = SemanticContext._freeze
+
+    def recorded(self, q):
+        facts, consts = freeze(self, q)
+        frozen[id(self), canonical_query(q)] = (self.program, facts,
+                                                self.cfg, consts)
+        return facts, consts
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SemanticContext, "_freeze", recorded)
+        for kb in (bank_kb, bank_inverse_kb):
+            mine(kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
+    assert len(frozen) > 300
+    cases += [(f"frozen {i}", args) for i, args in enumerate(frozen.values())]
+    reused = []
+    clean = _Chase._clean
+
+    def spy(self, branch, index):
+        result = clean(self, branch, index)
+        reused.append(result and index in branch.open)
+        return result
+
+    monkeypatch.setattr(_Chase, "_clean", spy)
+    outcomes = [(_split_outcome(_Chase, *args),
+                 _split_outcome(_RematchingChase, *args))
+                for _, args in cases]
+    assert [name for (name, _), (got, want) in zip(cases, outcomes)
+            if got != want] == []
+    # The cases reuse open instances, split, truncate and die.
+    assert any(reused)
+    assert any(len(got[0]) > 1 for got, _ in outcomes)
+    assert any(got[2] for got, _ in outcomes)
+    assert {got[4] for got, _ in outcomes} >= {True, False}
+
+
 # -- the one-leaf satisfiability search -------------------------------------------
 
 BACKTRACK = """
@@ -759,30 +857,41 @@ def test_one_leaf_search_backtracks(monkeypatch):
     assert _witness_and_full(clausify(kb), kb.abox) == (True, True)
 
 
-def test_satisfiability_memoizes_a_bool_without_a_full_chase(monkeypatch,
-                                                             bank_kb):
-    """The verdict of a query whose models nothing has read is searched for
-    once per canonical form and kept as a bool; a query whose full frozen
-    chase is memoized is read from it."""
+def test_satisfiability_searches_once_per_call(monkeypatch, bank_kb):
+    """Each call runs one one-leaf search and computes no canonical form
+    and no full chase, not even for a renamed query or one whose full
+    chase is memoized; only a search past ``max_branches`` reads the full
+    chase, through the frozen memo."""
     ctx = SemanticContext(bank_kb.without_abox())
-    full, searched = [], []
+    full, searched, forms = [], [], []
     monkeypatch.setattr(reasoner, "chase", lambda *args, **kw: full.append(
         args) or chase(*args, **kw))
     consistent = _Chase.consistent
     monkeypatch.setattr(_Chase, "consistent", lambda self: searched.append(
         self) or consistent(self))
+    monkeypatch.setattr(reasoner, "canonical_query", lambda q: forms.append(
+        q) or canonical_query(q))
     owner = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                             A(bank_kb, "isOwnerOf", KEY, X)))
     renamed = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                               A(bank_kb, "isOwnerOf", KEY, Y)))
     assert ctx.satisfiable(owner) and ctx.satisfiable(renamed)
-    assert (len(full), len(searched)) == (0, 1)
-    assert list(ctx._sat_memo.values()) == [True]
+    assert ctx.satisfiable(owner)
+    assert (len(full), len(searched), len(forms)) == (0, 3, 0)
+    assert not ctx.satisfiable(QuerySpec(KEY, (
+        A(bank_kb, "Account", KEY), A(bank_kb, "CreditCard", KEY))))
+    assert (len(full), len(searched), len(forms)) == (0, 4, 0)
     relative = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                                A(bank_kb, "relative", KEY, X)))
     assert ctx.signature(relative) is not None
+    assert (len(full), len(searched), len(forms)) == (1, 4, 1)
     assert ctx.satisfiable(relative)
-    assert (len(full), len(searched)) == (1, 1)
+    assert (len(full), len(searched), len(forms)) == (1, 5, 1)
+    kb = parse_kb(CHAIN)
+    chain = SemanticContext(kb, ChaseConfig(max_branches=4,
+                                            skolem_depth_cap=6))
+    assert not chain.satisfiable(QuerySpec(KEY, (A(kb, "A", KEY),)))
+    assert (len(full), len(searched), len(forms)) == (2, 6, 2)
 
 
 def test_one_leaf_search_bounds_live_branches():
