@@ -129,26 +129,9 @@ class GroundProgram:
     rules: tuple[ProgramRule, ...]
     individuals: frozenset[str]
     predicates: dict[str, m.Predicate] = field(default_factory=dict)
-
-    @cached_property
-    def chase_plan(self) -> tuple:
-        """The chase's ``(index, body, heads, nvars)`` per rule of each kind
-        in firing order (existential rules last, to see the round's
-        consequences), each rule's body predicates but ``O``, and whether a
-        rule has ``=``."""
-        def of_kind(keep) -> tuple:
-            return tuple((i,) + r.compiled for i, r in enumerate(self.rules)
-                         if keep(r))
-
-        horn = of_kind(ProgramRule.is_constraint) + of_kind(ProgramRule.is_horn)
-        existential = of_kind(lambda r: len(r.head) == 1 and not r.is_horn())
-        disjunctive = of_kind(lambda r: len(r.head) > 1)
-        body_preds = tuple(tuple(dict.fromkeys(
-            pred for pred, _ in r.compiled[0] if pred != m.O_PRED))
-            for r in self.rules)
-        equality = any(isinstance(a, m.Atom) and a.pred == m.EQ_PRED
-                       for r in self.rules for a in r.head + r.body)
-        return horn, existential, disjunctive, body_preds, equality
+    # The chase plan of ``rules`` (``reasoner``), made on first use; every
+    # copy that ``dataclasses.replace`` makes shares this dict.
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

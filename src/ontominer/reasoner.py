@@ -13,9 +13,14 @@ The chase saturates a fact set under the program rules, branch by branch:
     single-head rule counts as disjunct 0.  The nesting depth of fresh
     constants is capped; hitting the cap sets ``truncated``.
   * Disjunctive heads split the branch, one child per disjunct, skipping
-    instances with a disjunct already true.
+    instances with a disjunct already true.  An inert rule, whose
+    disjuncts nothing else reads or derives, is not split but settled at
+    each leaf (see ``_Chase``).
   * Constraints (empty heads) kill the branch.
 
+Once per rule tuple (``_Plan``) the chase learns which predicates the facts
+can reach; a rule whose body cannot be matched is dropped, and the
+equality closure runs only where an ``=`` other than ``=(c, c)`` can arise.
 A rule is matched again only after its body's predicates gain an atom, so
 a child branch re-runs only the rules its disjunct can feed; until then a
 disjunctive rule's instances open at its last match are tested instead.
@@ -189,6 +194,86 @@ def _match(by_pred: dict[str, list], consts: Sequence[str], named: frozenset,
             binding[idx] = None
 
 
+def _derived(heads: tuple) -> set:
+    """The predicates ``heads`` can add atoms of: each atom's, and each
+    existential's role and filler."""
+    return {p for h in heads for p in ((h[1][0],) if h[0] == "atom"
+                                       else (h[1], h[3])) if p}
+
+
+class _Plan:
+    """What a chase reads of one rule tuple (``_plan``): each rule's
+    ``(index, body, heads, nvars)`` by kind in firing order (existential
+    rules last, to see the round's consequences), each rule's body
+    predicates but ``O``, whether a rule has ``=``, and which disjunctive
+    rules are inert.  A rule is inert when every disjunct is an atom over
+    variables whose predicate no rule body reads, no existential names, no
+    other rule derives, and is not ``=``: its choices feed no rule."""
+
+    def __init__(self, rules: tuple[ProgramRule, ...]):
+        self.rules = rules
+        plan = [(i,) + r.compiled for i, r in enumerate(rules)]
+        self.body_preds = tuple(tuple(dict.fromkeys(
+            pred for pred, _ in body if pred != m.O_PRED))
+            for _, body, _, _ in plan)
+        self.derived = [_derived(heads) for _, _, heads, _ in plan]
+        self.equality = any(m.EQ_PRED in preds for preds in
+                            (*self.body_preds, *self.derived))
+        read = {m.EQ_PRED}.union(*self.body_preds, *(
+            _derived(h for h in heads if h[0] == "exists")
+            for _, _, heads, _ in plan))
+        derivers = Counter(p for preds in self.derived for p in preds)
+        self.inert = {i for i, _, heads, _ in plan if len(heads) > 1 and all(
+            h[0] == "atom" and h[1][0] not in read and derivers[h[1][0]] == 1
+            and all(s[0] == "v" for s in h[1][1]) for h in heads)}
+        # Constraints, Horn, existential and disjunctive rules.
+        kind = [0 if not heads else 3 if len(heads) > 1 else
+                1 if heads[0][0] == "atom" else 2 for _, _, heads, _ in plan]
+        self.kinds = tuple(tuple(r for r in plan if kind[r[0]] == k)
+                           for k in range(4))
+        self._kept: dict[frozenset, tuple] = {}
+
+    def kept(self, preds: frozenset) -> tuple:
+        """For facts over ``preds``: the predicates reachable from them,
+        ``$top`` and, when a rule has ``=``, ``=``, through the rules whose
+        body predicates are all reachable; those rules, as the Horn
+        (constraints first), existential, other disjunctive and inert ones;
+        and whether one of them derives ``=``."""
+        entry = self._kept.get(preds)
+        if entry is None:
+            reached = set(preds) | {TOP_PRED}
+            if self.equality:
+                reached.add(m.EQ_PRED)
+            fired: set[int] = set()
+            grown = True
+            while grown:
+                grown = False
+                for i, body in enumerate(self.body_preds):
+                    if i not in fired and reached.issuperset(body):
+                        fired.add(i)
+                        grown |= not reached.issuperset(self.derived[i])
+                        reached |= self.derived[i]
+            constraints, horn, existential, disjunctive = (
+                tuple(r for r in rules if r[0] in fired)
+                for rules in self.kinds)
+            entry = self._kept[preds] = (
+                frozenset(reached), constraints + horn, existential,
+                tuple(r for r in disjunctive if r[0] not in self.inert),
+                tuple(r for r in disjunctive if r[0] in self.inert),
+                any(m.EQ_PRED in self.derived[i] for i in fired))
+        return entry
+
+
+def _plan(program: GroundProgram) -> _Plan:
+    """The plan of ``program.rules``, made once per rule tuple: the copies
+    of a program that ``split_abox`` makes share it."""
+    key = id(program.rules)  # the plan keeps the tuple, so the id is its own
+    plan = program.plans.get(key)
+    if plan is None:
+        plan = program.plans[key] = _Plan(program.rules)
+    return plan
+
+
 class _Branch:
     """A branch's atoms and constants.  The atom count serves as a clock:
     ``stamp`` maps a predicate (``$top`` for a new constant) to the count
@@ -247,7 +332,14 @@ class _Chase:
     """One chase over branches (see ``_leaves``).  ``_fire`` skips each clean
     rule (``_clean``), whose match would add no atom, create no skolem and
     set no flag, so every added atom, skolem name, ``truncated`` and model
-    is what matching every rule gives."""
+    is what matching every rule gives.  Rules the facts cannot reach
+    (``_Plan.kept``) never match and are left out.
+
+    Inert rules (``_Plan``) are never split: their atoms feed no rule and
+    kill no branch, so the one-leaf search needs none of their choices, and
+    ``run`` makes them at each leaf (``_projections``).  A leaf with an
+    ``=`` other than ``=(c, c)`` would copy a choice onto equal constants,
+    so there they are split like any disjunctive rule."""
 
     def __init__(self, program: GroundProgram, facts: Sequence[m.Atom],
                  cfg: ChaseConfig, extra_individuals: frozenset = frozenset()):
@@ -255,12 +347,16 @@ class _Chase:
         self.individuals = frozenset(program.individuals) | frozenset(
             t.name for a in facts for t in a.args) | extra_individuals
         self.individuals_sorted = tuple(sorted(self.individuals))
-        (self.horn, self.existential, self.disjunctive, self.body_preds,
-         self.equality) = program.chase_plan
+        plan = _plan(program)
+        self.body_preds, self.equality = plan.body_preds, plan.equality
         self.skolem_memo: dict[tuple, str] = {}
         self.skolem_depth: dict[str, int] = {}
         self.truncated = False
         base_atoms = [(a.pred,) + tuple(t.name for t in a.args) for a in facts]
+        (_, self.horn, self.existential, self.disjunctive, self.inert,
+         derives_eq) = plan.kept(frozenset(a[0] for a in base_atoms))
+        self.close = derives_eq or any(a[0] == m.EQ_PRED and a[1] != a[2]
+                                       for a in base_atoms)
         if self.equality:
             base_atoms += [(m.EQ_PRED, c, c) for c in self.individuals_sorted]
         self.root = _Branch(sorted(base_atoms), self.individuals_sorted)
@@ -397,20 +493,21 @@ class _Chase:
             changed = self._fire(branch, self.horn)
             if changed is None:
                 return "dead"
-            if self.equality and self._close(branch):
+            if self.close and self._close(branch):
                 changed = True
             if self._fire(branch, self.existential):
                 changed = True
             if not changed:
                 return "done"
 
-    def _split(self, branch: _Branch) -> Optional[list[_Branch]]:
-        """Find the first disjunctive instance with no disjunct true and
+    def _split(self, branch: _Branch,
+               rules: tuple) -> Optional[list[_Branch]]:
+        """Find the first instance of ``rules`` with no disjunct true and
         branch on it, one child per disjunct that can be made true.  No
         witness is created before every disjunct is known to be false.  A
         clean rule (``_clean``) would match its last instances in order, and
         a true disjunct stays true, so only those then open are tested."""
-        for index, body, heads, nvars in self.disjunctive:
+        for index, body, heads, nvars in rules:
             if self._clean(branch, index):
                 instances = branch.open[index]
             else:
@@ -429,13 +526,18 @@ class _Chase:
 
     def _leaves(self, depth_first: bool) -> Iterable[_Branch]:
         """Yield each consistent leaf, breadth-first or, with ``depth_first``,
-        in disjunct order; ``cfg.max_branches`` bounds the waiting ones."""
-        queue = deque([self.root])
+        in disjunct order; ``cfg.max_branches`` bounds the waiting ones
+        (``queue``).  Breadth-first, inert rules are split at a leaf that
+        holds an ``=`` other than ``=(c, c)``."""
+        self.queue = queue = deque([self.root])
         while queue:
             branch = queue.pop() if depth_first else queue.popleft()
             if self._saturate(branch) == "dead":
                 continue
-            children = self._split(branch)
+            children = self._split(branch, self.disjunctive)
+            if children is None and not depth_first and self.close and any(
+                    a[1] != a[2] for a in branch.by_pred.get(m.EQ_PRED, ())):
+                children = self._split(branch, self.inert)
             if children is None:
                 yield branch
                 continue
@@ -445,26 +547,46 @@ class _Chase:
                     f"more than {self.cfg.max_branches} live chase branches")
 
     def run(self) -> ModelSet:
-        finished = list(self._leaves(depth_first=False))
-        return ModelSet(self._minimize(finished), self.individuals_sorted,
-                        inconsistent=not finished, truncated=self.truncated)
+        models = [model for leaf in self._leaves(depth_first=False)
+                  for model in self._projections(leaf)]
+        return ModelSet(self._minimize(models), self.individuals_sorted,
+                        inconsistent=not models, truncated=self.truncated)
 
     def consistent(self) -> bool:
         """``not run().inconsistent``, stopping at the first consistent leaf."""
         return next(self._leaves(depth_first=True), None) is not None
 
-    def _minimize(self, branches: list[_Branch]) -> tuple[frozenset, ...]:
-        projected = []
-        seen = set()
-        for br in branches:
-            # Built by insertion: a frozenset copied from a set starts from
-            # a larger hash table, which memoized models would keep.
-            model = frozenset(a for a in br.atoms
-                              if self.individuals.issuperset(a[1:]))
-            if model not in seen:
-                seen.add(model)
-                projected.append(model)
-        projected.sort(key=lambda s: (len(s), sorted(s)))
+    def _projections(self, branch: _Branch) -> list[frozenset]:
+        """The leaf's atoms over named constants, once for each way to make
+        its open inert instances true, breadth-first in rule, instance and
+        disjunct order; each way counts against ``cfg.max_branches`` as a
+        waiting branch.  An instance with a disjunct over a skolem constant
+        is left open: that disjunct adds no named atom, so every other
+        choice gives a superset, which ``_minimize`` drops."""
+        named = self.individuals
+        # Built by insertion: a frozenset copied from a set starts from a
+        # larger hash table, which memoized models would keep.
+        base = frozenset(a for a in branch.atoms if named.issuperset(a[1:]))
+        ways = [frozenset()]
+        for _, body, heads, nvars in self.inert:
+            for b in self._matches(branch, body, nvars):
+                atoms = tuple(dict.fromkeys(
+                    (pred,) + _instantiate(slots, b) for _, (pred, slots)
+                    in heads))
+                if any(a in branch.atoms or not named.issuperset(a[1:])
+                       for a in atoms):
+                    continue
+                ways = [w2 for w in ways for w2 in (
+                    (w,) if not w.isdisjoint(atoms) else (w | {a}
+                                                          for a in atoms))]
+                if len(ways) + len(self.queue) > self.cfg.max_branches:
+                    raise BranchLimitExceeded(
+                        f"more than {self.cfg.max_branches} live chase "
+                        f"branches")
+        return [base | w if w else base for w in ways]
+
+    def _minimize(self, models: list[frozenset]) -> tuple[frozenset, ...]:
+        projected = sorted(set(models), key=lambda s: (len(s), sorted(s)))
         minimal: list[frozenset] = []
         for model in projected:
             if not any(kept < model for kept in minimal):
@@ -740,7 +862,11 @@ def _swap_fixes(body: Counter, u: int, v: int) -> bool:
 class SemanticContext:
     """The clausified intensional program plus one memo by canonical form:
     full frozen chases, for the queries whose models are read (signatures,
-    the specific side of a containment test).  ``witnessable``: no
+    the specific side of a containment test), each with the marks common to
+    its models (``signature``), interned.  A containment needs each
+    predicate of the general query in every model, so it is refused without
+    a match when ``q2``'s facts cannot reach one (``subsumes``) or its marks
+    lack one or a key position (``_contains``).  ``witnessable``: no
     disjunctive rule has an existential disjunct (``miner.semantic_filter``).
 
     The memo is per context and not locked, so share a context across
@@ -753,8 +879,13 @@ class SemanticContext:
         self.base_facts = tuple(kb_cp.abox)
         self.cfg = cfg
         self._frozen_memo: dict[tuple, ModelSet] = {}
+        # The marks of each memoized chase, and each distinct marks set.
+        self._frozen_marks: dict[tuple, frozenset] = {}
+        self._marks: dict[frozenset, frozenset] = {}
+        self._plan = _plan(self.program)
+        self._base_preds = frozenset(a.pred for a in self.base_facts)
         self.witnessable = all(head[0] == "atom" for _, _, heads, _
-                               in self.program.chase_plan[2] for head in heads)
+                               in self._plan.kinds[3] for head in heads)
 
     def _freeze(self, q: QuerySpec) -> tuple[list[m.Atom], frozenset[str]]:
         """The base facts plus the body with variable i replaced by the
@@ -767,11 +898,22 @@ class SemanticContext:
         return list(self.base_facts) + frozen, consts
 
     def _frozen_chase(self, q: QuerySpec, form: tuple) -> ModelSet:
-        """The chase of frozen ``q``, memoized by its canonical ``form``."""
+        """The chase of frozen ``q``, memoized by its canonical ``form``
+        with the marks every model of it holds (``_frozen_marks``): each
+        predicate that occurs, and each ``(pred, i)`` with the frozen key at
+        argument ``i``."""
         ms = self._frozen_memo.get(form)
         if ms is None:
             facts, consts = self._freeze(q)
             ms = chase(self.program, facts, self.cfg, extra_individuals=consts)
+            common: Optional[set] = None
+            for model in ms.models:
+                marks = {a[0] for a in model}
+                marks.update((a[0], i) for a in model
+                             for i, c in enumerate(a[1:]) if c == "$q0")
+                common = marks if common is None else common & marks
+            marks = frozenset(common or ())
+            self._frozen_marks[form] = self._marks.setdefault(marks, marks)
             self._frozen_memo[form] = ms
         return ms
 
@@ -781,6 +923,11 @@ class SemanticContext:
         if ms.inconsistent:
             raise InconsistentKB(
                 "frozen query body is inconsistent with the terminology")
+        marks = self._frozen_marks[form2]
+        if not all(a.pred in marks and all(
+                (a.pred, i) in marks for i, t in enumerate(a.args)
+                if t == q1.key) for a in q1.body if a.pred != m.O_PRED):
+            return False
         # No index is kept on memoized model sets: it would hold every
         # frozen chase's atoms twice.
         query = compile_query(q1)
@@ -802,7 +949,14 @@ class SemanticContext:
 
     def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         """True iff q1 is at least as general as q2 (q1 contains q2).
-        Bodies of different lengths never share a canonical form."""
+        Refused, before any form or chase, when the base facts and q2's
+        body cannot reach a predicate of q1 (``_Plan.kept``); so an
+        inconsistent q2 gives False here, not ``InconsistentKB``.  Bodies
+        of different lengths never share a canonical form."""
+        reached = self._plan.kept(
+            self._base_preds.union(a.pred for a in q2.body))[0]
+        if not all(a.pred in reached or a.pred == m.O_PRED for a in q1.body):
+            return False
         c2 = canonical_query(q2)
         return (len(q1.body) == len(q2.body) and canonical_query(q1) == c2
                 or self._contains(q1, q2, c2))
@@ -813,25 +967,18 @@ class SemanticContext:
                             and self._contains(q2, q1, c1))
 
     def signature(self, q: QuerySpec) -> Optional[frozenset]:
-        """What every minimal model of the frozen chase of ``q`` holds: each
-        predicate that occurs, and each ``(pred, i)`` with the frozen key at
-        argument ``i``.  Equivalent queries have equal signatures: the
+        """The marks every minimal model of the frozen chase of ``q`` holds
+        (``_frozen_chase``).  Equivalent queries have equal signatures: the
         containment mapping that sends one frozen body into the other's
         models fixes the key and keeps named constants named, so whatever
         one side's models all hold, the other's hold too.  Positions that do
         not hold the key are left out, since that mapping may merge
         variables into the key.  None when the chase is truncated (or
         inconsistent), where the argument does not hold."""
-        ms = self._frozen_chase(q, canonical_query(q))
-        if ms.truncated or ms.inconsistent:
-            return None
-        common: Optional[set] = None
-        for model in ms.models:
-            marks = {a[0] for a in model}
-            marks.update((a[0], i) for a in model
-                         for i, c in enumerate(a[1:]) if c == "$q0")
-            common = marks if common is None else common & marks
-        return frozenset(common)
+        form = canonical_query(q)
+        ms = self._frozen_chase(q, form)
+        return (None if ms.truncated or ms.inconsistent
+                else self._frozen_marks[form])
 
 
 def format_models(ms: ModelSet) -> str:

@@ -91,6 +91,71 @@ def random_eq_kb_text(seed: int) -> str:
     return text + "\n".join(extra) + "\n"
 
 
+def _declared(text: str, kind: str) -> list[str]:
+    return [line[len(kind) + 2:-1] for line in text.splitlines()
+            if line.startswith(f"({kind} ")]
+
+
+def random_inert_kb_text(seed: int) -> str:
+    """``random_kb_text(seed)`` plus an inert disjunction, drawn from its
+    own stream: a user rule over fresh non-DL predicates ``q0 | q1`` on one
+    concept's instances or on a role's two ends (whose instances can share
+    a disjunct), or ``(some r Thing) ⊑ D0 ⊔ D1`` over fresh concepts, whose
+    body-only variable can hold a skolem constant."""
+    text = random_kb_text(seed)
+    rng = random.Random(f"inert-{seed}")
+    concepts, roles = _declared(text, "concept"), _declared(text, "role")
+    individuals = sorted({w.rstrip(")") for line in text.splitlines()
+                          if line.startswith(_ABOX_HEADS)
+                          for w in line.split()[2:]})
+    r, c = rng.choice(roles), rng.choice(concepts)
+    shape = rng.randrange(3)
+    if shape == 2:
+        extra = ["(concept D0)", "(concept D1)",
+                 f"(subclass (some {r} Thing) (or D0 D1))"]
+        if rng.random() < 0.5:
+            extra.append(f"(subclass {c} (some {r} Thing))")
+    else:
+        head = "(q0 ?x) (q1 ?x)" if shape == 0 else "(q0 ?x) (q1 ?y)"
+        body = (f"({c} ?x) (O ?x)" if shape == 0
+                else f"({r} ?x ?y) (O ?x) (O ?y)")
+        extra = ["(nondl q0 1)", "(nondl q1 1)",
+                 f"(rule (head {head}) (body {body}))"]
+    for _ in range(rng.randint(0, 2)):
+        extra.append(f"(related {r} {rng.choice(individuals)} "
+                     f"{rng.choice(individuals)})")
+    return text + "\n".join(extra) + "\n"
+
+
+def random_inert_eq_kb_text(seed: int) -> str:
+    """``random_inert_kb_text(seed)`` with a functional or inverse
+    functional role, so that merges can copy an inert choice onto an equal
+    constant."""
+    text = random_inert_kb_text(seed)
+    rng = random.Random(f"inert-eq-{seed}")
+    r = rng.choice(_declared(text, "role"))
+    return text + (f"(functional {r})" if rng.random() < 0.5
+                   else f"(functional (inv {r}))") + "\n"
+
+
+def random_regrow_kb_text(seed: int) -> str:
+    """``random_kb_text(seed)`` plus ``G0 ⊑ G1 ⊔ G2`` and ``G1 ⊑ ∀r.G0``
+    over fresh concepts, and a G0 instance at the start of an ``r`` chain:
+    the G1 child of a split gains G0 at the next link, a new open instance
+    of the rule it split on."""
+    text = random_kb_text(seed)
+    rng = random.Random(f"regrow-{seed}")
+    r = rng.choice(_declared(text, "role"))
+    chain = [f"g{k}" for k in range(rng.randint(2, 4))]
+    extra = [f"(concept G{k})" for k in range(3)]
+    extra += ["(subclass G0 (or G1 G2))", f"(subclass G1 (all {r} G0))",
+              f"(instance G0 {chain[0]})"]
+    extra += [f"(related {r} {a} {b})" for a, b in zip(chain, chain[1:])]
+    if rng.random() < 0.5:
+        extra.append(f"(instance C0 {chain[-1]})")
+    return text + "\n".join(extra) + "\n"
+
+
 _ABOX_HEADS = ("(fact ", "(related ", "(instance ")
 
 
@@ -261,3 +326,28 @@ def random_eq_program(seed: int) -> tuple[GroundProgram, list[m.Atom]]:
         frozenset(consts),
         {p.name: p for p in unary + [b0, m.EQ_PREDICATE]})
     return program, sorted(facts, key=str)
+
+
+def with_inert_rule(drawn: tuple[GroundProgram, list[m.Atom]], seed: int
+                    ) -> tuple[GroundProgram, list[m.Atom]]:
+    """The program of ``drawn`` plus an inert disjunctive rule, drawn from
+    its own stream: fresh unary predicates ``v0 | v1`` over one variable of
+    a body atom of a predicate the program has (not ``=``), or over both
+    variables of a binary one."""
+    program, facts = drawn
+    rng = random.Random(f"inert-program-{seed}")
+    x, y = m.Var("x"), m.Var("y")
+    pred = rng.choice(sorted((p for p in program.predicates.values()
+                              if p.name != m.EQ_PRED), key=lambda p: p.name))
+    if pred.arity == 2:
+        body = m.Atom(pred.name, (x, y), pred.kind)
+        second = rng.choice((x, y))
+    else:
+        body, second = m.Atom(pred.name, (x,), pred.kind), x
+    fresh = [m.Predicate(f"v{i}", 1, m.NONDL) for i in range(2)]
+    rule = ProgramRule(f"r{len(program.rules)}", (
+        m.Atom("v0", (x,), m.NONDL), m.Atom("v1", (second,), m.NONDL)),
+        (body,))
+    return GroundProgram(
+        program.rules + (rule,), program.individuals,
+        {**program.predicates, **{p.name: p for p in fresh}}), facts

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from genkb import (random_eq_kb_text, random_eq_program, random_kb_text,
-                   random_program, usable_kbs)
+                   random_program, random_regrow_kb_text, usable_kbs)
 from oracles import (brute_force_certain_answers, brute_force_minimal_models,
                      permutation_form, with_equality_axioms)
 from ontominer import model as m
@@ -720,8 +720,8 @@ class _RematchingChase(_Chase):
     """The chase whose ``_split`` matches every disjunctive rule again on
     every branch and keeps no open instances."""
 
-    def _split(self, branch):
-        for index, body, heads, nvars in self.disjunctive:
+    def _split(self, branch, rules):
+        for index, body, heads, nvars in rules:
             for b in map(tuple, self._matches(branch, body, nvars)):
                 if any(self._option_satisfied(branch, h, b) for h in heads):
                     continue
@@ -814,6 +814,35 @@ def test_open_instances_change_no_split(monkeypatch, bank_kb,
     assert {got[4] for got, _ in outcomes} >= {True, False}
 
 
+def test_open_instances_change_no_split_on_regrowing_kbs(monkeypatch):
+    """``random_regrow_kb_text`` embeds ``REGROW``'s shape in genkb KBs, so
+    that a child gains a new open instance of the rule it split on; open
+    instances still change no chase there."""
+    cases = []
+    for seed in range(200):
+        kb = parse_kb(random_regrow_kb_text(seed))
+        cases.append((seed, (clausify(kb), kb.abox)))
+    regrown = set()
+    split = _Chase._split
+
+    def spy(self, branch, rules):
+        before = {i: list(v) for i, v in branch.open.items()}
+        children = split(self, branch, rules)
+        if any(set(v) - set(before[i]) for i, v in branch.open.items()
+               if i in before):
+            regrown.add(id(self))
+        return children
+
+    monkeypatch.setattr(_Chase, "_split", spy)
+    regrowing = 0
+    for seed, args in cases:
+        regrown.clear()
+        assert _split_outcome(_Chase, *args) == \
+            _split_outcome(_RematchingChase, *args), f"seed {seed}"
+        regrowing += bool(regrown)
+    assert regrowing > 100
+
+
 # -- the one-leaf satisfiability search -------------------------------------------
 
 BACKTRACK = """
@@ -894,11 +923,12 @@ def test_satisfiability_searches_once_per_call(monkeypatch, bank_kb):
     assert (len(full), len(searched), len(forms)) == (2, 6, 2)
 
 
-def test_one_leaf_search_bounds_live_branches():
+def test_one_leaf_search_bounds_live_branches(monkeypatch):
     """Six independent splits: breadth-first, 64 branches wait at once, so
     the full chase exceeds a bound of 8; depth-first, at most 7 wait before
-    the first leaf."""
-    lines = ["(range r (or A B))"]
+    the first leaf.  ``A ⊑ C`` reads the range's disjunct A; without it the
+    range rule is inert and the search splits nothing."""
+    lines = ["(range r (or A B))", "(subclass A C)"]
     lines += [f"(related r s t{i})" for i in range(6)]
     kb = parse_kb("\n".join(lines) + "\n")
     program = clausify(kb)
@@ -907,6 +937,14 @@ def test_one_leaf_search_bounds_live_branches():
     assert _Chase(program, kb.abox, ChaseConfig(max_branches=7)).consistent()
     with pytest.raises(BranchLimitExceeded):
         _Chase(program, kb.abox, ChaseConfig(max_branches=6)).consistent()
+    inert = parse_kb("\n".join(lines[:1] + lines[2:]) + "\n")
+    split = _Chase._split
+    children = []
+    monkeypatch.setattr(_Chase, "_split", lambda self, branch, rules: (
+        children.append(split(self, branch, rules)) or children[-1]))
+    assert _Chase(clausify(inert), inert.abox,
+                  ChaseConfig(max_branches=1)).consistent()
+    assert children == [None]
 
 
 CHAIN = """

@@ -14,7 +14,7 @@ import pytest
 
 from genkb import (disjoint_copies, fan_out, random_eq_kb_text,
                    random_kb_text, random_program)
-from ontominer import cli, model as m
+from ontominer import cli, model as m, reasoner
 from ontominer.cli import main
 from ontominer.clausify import GroundProgram, clausify
 from ontominer.errors import BranchLimitExceeded, EmptyReferenceConcept
@@ -166,6 +166,23 @@ def test_bank_kbs_factor(name, copies):
     assert len(split_abox(program, kb.abox)) == 3 * copies
     assert factoring_differs(program, kb.abox) == []
     assert support_differs(kb, "Client") == []
+
+
+def test_parts_share_one_chase_plan(monkeypatch):
+    """The 12 parts of four bank ABox copies share the whole program's
+    rules, so the chase plans them once, not once per part."""
+    built = []
+    init = reasoner._Plan.__init__
+    monkeypatch.setattr(reasoner._Plan, "__init__", lambda self, rules: (
+        built.append(rules), init(self, rules))[-1])
+    kb = parse_kb(disjoint_copies(
+        (DEMOS / "bank.kb").read_text(encoding="utf-8"), 4))
+    program = clausify(kb)
+    assert len(chase_parts(kb)) == 12 and len(built) == 1
+    parts = split_abox(program, kb.abox)
+    assert {id(reasoner._plan(part)) for part, _ in parts} == {
+        id(reasoner._plan(program))}
+    assert len(built) == 2
 
 
 def test_fan_out_support(bank_path):
