@@ -5,9 +5,10 @@ into the output directory: ``patterns.txt`` (one frequent pattern per
 line), ``stats.csv`` (per-depth candidate counters), and ``trie.graphml``
 (the search trie).  ``ontominer compare`` runs the semantic and
 non-semantic settings on the same KB and writes ``compare.csv`` with the
-per-depth reduction ratios.  All outputs are deterministic functions of
-the KB bytes and the configuration; wall-clock timing and the shape of the
-full-KB chase (parts, models, truncation) go to stdout only.
+per-depth reduction ratios.  Each file is written line by line as it is
+produced, never held whole in memory.  All outputs are deterministic
+functions of the KB bytes and the configuration; wall-clock timing and the
+shape of the full-KB chase (parts, models, truncation) go to stdout only.
 
 Exit codes: 0 success, 1 usage, parse or validation error, 2 inconsistent
 KB, 3 empty reference concept, 4 resource limit.
@@ -21,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 from xml.sax.saxutils import escape
@@ -51,49 +53,53 @@ def _render_pattern(p: QuerySpec) -> str:
 
 
 def _write_patterns(path: Path, result: mining.MineResult) -> None:
-    entries = sorted(
-        ((len(p.body), -s, i, p, s)
-         for i, (p, s) in enumerate(result.patterns)),
-        key=lambda e: e[:3])
-    lines = [f"{float(s):.6f}\t{_render_pattern(p)}" for _, _, _, p, s in entries]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # By depth, support descending, then registration order (``nodes()``
+    # order): both sorts are stable.
+    nodes = result.trie.nodes()
+    nodes.sort(key=attrgetter("support"), reverse=True)
+    nodes.sort(key=attrgetter("depth"))
+    with open(path, "w", encoding="utf-8") as f:
+        for node in nodes:
+            f.write(f"{float(node.support):.6f}\t"
+                    f"{_render_pattern(node.pattern)}\n")
 
 
 def _write_stats(path: Path, result: mining.MineResult) -> None:
-    lines = ["depth,gen,sat,sfree,cand,freq"]
-    for depth in sorted(result.stats.per_depth):
-        c = result.stats.per_depth[depth]
-        lines.append(f"{depth},{c.gen},{c.sat},{c.sfree},{c.cand},{c.freq}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    per_depth = result.stats.per_depth
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("depth,gen,sat,sfree,cand,freq\n")
+        for depth in sorted(per_depth):
+            c = per_depth[depth]
+            f.write(f"{depth},{c.gen},{c.sat},{c.sfree},{c.cand},{c.freq}\n")
 
 
 def _write_graphml(path: Path, result: mining.MineResult) -> None:
-    out = ['<?xml version="1.0" encoding="UTF-8"?>',
-           '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"',
-           '         xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"',
-           '         xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns'
-           ' http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">',
-           '  <key id="d0" for="node" attr.name="atom" attr.type="string"/>',
-           '  <key id="d1" for="node" attr.name="support" attr.type="double"/>',
-           '  <key id="d2" for="node" attr.name="depth" attr.type="int"/>',
-           '  <graph id="trie" edgedefault="directed">']
     nodes = result.trie.nodes()
-    for node in nodes:
-        atom = escape(f"{node.atom.pred}({', '.join(t.name for t in node.atom.args)})")
-        out.append(f'    <node id="n{node.seq}">')
-        out.append(f'      <data key="d0">{atom}</data>')
-        out.append(f'      <data key="d1">{float(node.support):.6f}</data>')
-        out.append(f'      <data key="d2">{node.depth}</data>')
-        out.append('    </node>')
-    edge = 0
-    for node in nodes:
-        for child in node.children:
-            out.append(f'    <edge id="e{edge}" source="n{node.seq}" '
-                       f'target="n{child.seq}"/>')
-            edge += 1
-    out.append('  </graph>')
-    out.append('</graphml>')
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"\n'
+                '         xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"\n'
+                '         xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns'
+                ' http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n'
+                '  <key id="d0" for="node" attr.name="atom" attr.type="string"/>\n'
+                '  <key id="d1" for="node" attr.name="support" attr.type="double"/>\n'
+                '  <key id="d2" for="node" attr.name="depth" attr.type="int"/>\n'
+                '  <graph id="trie" edgedefault="directed">\n')
+        for node in nodes:
+            atom = escape(f"{node.atom.pred}"
+                          f"({', '.join(t.name for t in node.atom.args)})")
+            f.write(f'    <node id="n{node.seq}">\n'
+                    f'      <data key="d0">{atom}</data>\n'
+                    f'      <data key="d1">{float(node.support):.6f}</data>\n'
+                    f'      <data key="d2">{node.depth}</data>\n'
+                    f'    </node>\n')
+        edge = 0
+        for node in nodes:
+            for child in node.children:
+                f.write(f'    <edge id="e{edge}" source="n{node.seq}" '
+                        f'target="n{child.seq}"/>\n')
+                edge += 1
+        f.write("  </graph>\n</graphml>\n")
 
 
 def _load(cfg: RunConfig) -> m.CombinedKB:
@@ -161,21 +167,24 @@ def compare_modes(cfg: RunConfig) -> int:
     kb = _load(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = {mode: mining.mine(kb, replace(cfg.mining, mode=mode), cfg.chase)
-               for mode in (mining.MODE_SEM, mining.MODE_NOSEM)}
-    lines = ["depth,cand_sem,freq_sem,cand_nosem,freq_nosem,"
-             "reduction_cand,reduction_freq"]
-    for depth in sorted(results[mining.MODE_SEM].stats.per_depth):
-        s, n = (results[mode].stats.per_depth[depth]
-                for mode in (mining.MODE_SEM, mining.MODE_NOSEM))
-        row = [depth, s.cand, s.freq, n.cand, n.freq]
-        row += [f"{nv / sv:.2f}" if sv else ""
-                for nv, sv in ((n.cand, s.cand), (n.freq, s.freq))]
-        lines.append(",".join(map(str, row)))
-    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for mode, r in results.items():
-        print(f"{mode}: {len(r.patterns)} patterns, "
-              f"runtime {r.stats.runtime:.3f}s")
+    runs = {}
+    for mode in (mining.MODE_SEM, mining.MODE_NOSEM):
+        result = mining.mine(kb, replace(cfg.mining, mode=mode), cfg.chase)
+        # Keep what is reported; the trie is freed before the next mode.
+        runs[mode] = (result.stats, len(result.patterns))
+        del result
+    with open(out / "compare.csv", "w", encoding="utf-8") as f:
+        f.write("depth,cand_sem,freq_sem,cand_nosem,freq_nosem,"
+                "reduction_cand,reduction_freq\n")
+        for depth in sorted(runs[mining.MODE_SEM][0].per_depth):
+            s, n = (runs[mode][0].per_depth[depth]
+                    for mode in (mining.MODE_SEM, mining.MODE_NOSEM))
+            row = [depth, s.cand, s.freq, n.cand, n.freq]
+            row += [f"{nv / sv:.2f}" if sv else ""
+                    for nv, sv in ((n.cand, s.cand), (n.freq, s.freq))]
+            f.write(",".join(map(str, row)) + "\n")
+    for mode, (stats, count) in runs.items():
+        print(f"{mode}: {count} patterns, runtime {stats.runtime:.3f}s")
     print(f"comparison -> {out / 'compare.csv'}")
     return 0
 

@@ -158,15 +158,14 @@ class Trie:
         # Equivalence-scan index, filled lazily by ``semantic_filter`` so
         # that runs without the semantic tests never compute a signature:
         # nodes by frozen-chase signature (None: the chase has none), and
-        # nodes registered since the last scan.
+        # how many nodes, in ``seq`` order, it holds.
         self.by_signature: dict[Optional[frozenset], list[TrieNode]] = {}
-        self.unindexed: list[TrieNode] = [root]
+        self._indexed = 0
 
     def register(self, parent: TrieNode, node: TrieNode) -> None:
         node.seq = len(self._nodes)
         parent.children.append(node)
         self._nodes.append(node)
-        self.unindexed.append(node)
 
     def nodes(self) -> list[TrieNode]:
         return list(self._nodes)
@@ -179,10 +178,10 @@ class Trie:
         untruncated chase is sound, so a node with a signature contains
         ``pattern`` only if its answers are a subset of ``pattern``'s, equal
         if ``pattern`` has one too; if no node's are, it needs none."""
-        for node in self.unindexed:
+        for node in self._nodes[self._indexed:]:
             self.by_signature.setdefault(
                 ctx.signature(node.pattern), []).append(node)
-        self.unindexed = []
+        self._indexed = len(self._nodes)
         unsigned = self.by_signature.get(None, [])
         if answers is not None and not any(
                 node.answers <= answers for node in self._nodes):
@@ -370,20 +369,17 @@ def _placements(arity: int, shared: Sequence[m.Var],
     return out
 
 
-def _make_atom(pred: m.Predicate, combo: tuple, start_index: int) -> m.Atom:
-    args: list[m.Term] = []
-    nxt = start_index
-    for slot in combo:
-        if slot is _FRESH:
-            args.append(m.Var(f"x{nxt}"))
-            nxt += 1
-        else:
-            args.append(slot)
-    return m.Atom(pred.name, tuple(args), pred.kind)
+def _make_atom(pred: m.Predicate, combo: tuple,
+               fresh: Sequence[m.Var]) -> m.Atom:
+    """``combo``'s fresh slots take the ``fresh`` variables in order."""
+    take = iter(fresh)
+    return m.Atom(pred.name, tuple(next(take) if slot is _FRESH else slot
+                                   for slot in combo), pred.kind)
 
 
 def _dependent_atoms(pattern: QuerySpec, bias: Sequence[m.Predicate],
-                     parent_vars: set[m.Var], start: int) -> list[m.Atom]:
+                     parent_vars: set[m.Var],
+                     fresh: Sequence[m.Var]) -> list[m.Atom]:
     last_vars = list(pattern.body[-1].variables())
     new_vars = [v for v in last_vars if v not in parent_vars]
     if not new_vars:
@@ -395,22 +391,21 @@ def _dependent_atoms(pattern: QuerySpec, bias: Sequence[m.Predicate],
             placements[pred.arity] = _placements(pred.arity, last_vars,
                                                  new_vars)
         for combo in placements[pred.arity]:
-            atom = _make_atom(pred, combo, start)
+            atom = _make_atom(pred, combo, fresh)
             if atom not in pattern.body:
                 out.append(atom)
     return out
 
 
 def _copy_right_brother(pattern: QuerySpec, parent_vars: set[m.Var],
-                        start: int, brother: TrieNode) -> Optional[m.Atom]:
-    mapping: dict[m.Var, m.Term] = {}
-    nxt = start
+                        fresh: Sequence[m.Var],
+                        brother: TrieNode) -> Optional[m.Atom]:
+    mapping: dict[m.Var, m.Var] = {}
     args: list[m.Term] = []
     for t in brother.atom.args:
         if isinstance(t, m.Var) and t not in parent_vars:
             if t not in mapping:
-                mapping[t] = m.Var(f"x{nxt}")
-                nxt += 1
+                mapping[t] = fresh[len(mapping)]
             args.append(mapping[t])
         else:
             args.append(t)
@@ -424,13 +419,19 @@ def refine_candidates(node: TrieNode,
     (bias order, then placement order), then right-brother copies.  They
     are pairwise distinct: each dependent atom holds a variable that the
     node's atom introduced and no copy does, and copies number their fresh
-    variables in order of first occurrence."""
+    variables in order of first occurrence.  Every candidate draws its
+    fresh variables from one tuple made here, so they share the objects."""
     pattern = node.pattern
     parent_vars = {v for a in pattern.body[:-1] for v in a.variables()}
+    brothers = node.right_brothers()
     start = len(pattern.variables())  # key plus x1..xN, densely numbered
-    out = _dependent_atoms(pattern, bias, parent_vars, start)
-    for brother in node.right_brothers():
-        atom = _copy_right_brother(pattern, parent_vars, start, brother)
+    # An atom takes at most one fresh variable per argument.
+    width = max([p.arity for p in bias] + [len(b.atom.args) for b in brothers],
+                default=0)
+    fresh = tuple(m.Var(f"x{i}") for i in range(start, start + width))
+    out = _dependent_atoms(pattern, bias, parent_vars, fresh)
+    for brother in brothers:
+        atom = _copy_right_brother(pattern, parent_vars, fresh, brother)
         if atom is not None:
             out.append(atom)
     return out

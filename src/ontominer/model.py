@@ -37,7 +37,7 @@ EQ_PRED = "="
 # Terms and atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
 
@@ -45,7 +45,7 @@ class Const:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -67,7 +67,7 @@ O_PREDICATE = Predicate(O_PRED, 1, OPRED)
 EQ_PREDICATE = Predicate(EQ_PRED, 2, EQUALITY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A predicate applied to terms; ``kind`` is stamped from the registry."""
 

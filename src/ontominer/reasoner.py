@@ -97,7 +97,7 @@ class ModelSet:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuerySpec:
     """A conjunctive DL-safe query: one distinguished variable ``key`` and a
     positive body.  O atoms are implicit for every variable, so answers

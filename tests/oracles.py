@@ -180,8 +180,10 @@ def enumerate_pattern_space(reference_concept: str,
                 for pred in bias:
                     for combo in _placements(pred.arity, anchor_vars,
                                              new_in_anchor):
-                        atom = _make_atom(pred, combo,
-                                          len(pattern.variables()))
+                        start = len(pattern.variables())
+                        atom = _make_atom(pred, combo, [
+                            m.Var(f"x{i}")
+                            for i in range(start, start + pred.arity)])
                         if atom in pattern.body:
                             continue
                         child = QuerySpec(KEY, pattern.body + (atom,))

@@ -1,10 +1,14 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from genkb import random_kb_text, usable_kbs
 from ontominer import model as m
 from ontominer.errors import ParseError
 from ontominer.kbparse import parse_kb, serialize_kb
-from ontominer.reasoner import QuerySpec
+from ontominer.miner import MODE_SEM, MiningConfig, mine
+from ontominer.reasoner import QuerySpec, canonical_query
 
 
 def atom(kind, pred, *terms):
@@ -178,3 +182,52 @@ def test_linkedness_helper():
     assert QuerySpec(key, linked).is_connected()
     assert not QuerySpec(key, (m.Atom("C", (key,), m.CONCEPT),
                                m.Atom("D", (x,), m.CONCEPT))).is_connected()
+
+
+# -- slotted value types -----------------------------------------------------
+
+def _values():
+    key, x = m.Var("key"), m.Var("x1")
+    a = m.Atom("r", (key, x), m.ROLE)
+    return [key, m.Const("a"), a, QuerySpec(key, (a,))]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_value_types_have_no_instance_dict(value):
+    assert not hasattr(value, "__dict__")
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_value_types_compare_and_hash_by_fields(value):
+    twin = dataclasses.replace(value)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value)
+    assert len({value, twin}) == 1
+    # A frozen dataclass hashes the tuple of its fields.
+    assert hash(value) == hash(tuple(getattr(value, f.name)
+                                     for f in dataclasses.fields(value)))
+
+
+def test_value_types_keep_replace_and_kind_distinctions():
+    _, _, role_atom, query = _values()
+    assert dataclasses.replace(role_atom, pred="s") == \
+        m.Atom("s", role_atom.args, m.ROLE)
+    assert dataclasses.replace(query, key=m.Var("y")).key == m.Var("y")
+    assert m.Var("a") != m.Const("a")
+    assert len({m.Var("a"), m.Const("a")}) == 2
+
+
+@pytest.mark.parametrize("kb_fixture,hits,misses", [
+    ("bank_kb", 701, 209), ("bank_inverse_kb", 764, 231)])
+def test_canonical_query_cache_counts_of_a_sem_run(request, kb_fixture, hits,
+                                                   misses):
+    """The ``canonical_query`` memo keys on ``QuerySpec`` equality and hash,
+    so a sem run at depth 3 finds exactly the forms it always found."""
+    kb = request.getfixturevalue(kb_fixture)
+    canonical_query.cache_clear()
+    mine(kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
+    info = canonical_query.cache_info()
+    assert (info.hits, info.misses) == (hits, misses)

@@ -94,6 +94,27 @@ def test_leaf_without_new_variables_or_brothers(bank_kb):
     assert refine_candidates(leaf, [bank_kb.predicate("Account")]) == []
 
 
+def test_candidates_of_one_node_share_their_fresh_variables(bank_kb):
+    """Each fresh variable of a node's candidates is one object, whether a
+    dependent atom or a right-brother copy introduces it."""
+    trie, root = fresh_trie(trivial_pattern("Client"))
+    left = node_for(extended(root.pattern, A(bank_kb, "isOwnerOf", KEY, X1)),
+                    root)
+    right = node_for(extended(root.pattern, A(bank_kb, "relative", KEY, X1)),
+                     root)
+    trie.register(root, left)
+    trie.register(root, right)
+    atoms = refine_candidates(left, [bank_kb.predicate("isOwnerOf"),
+                                     bank_kb.predicate("p_familyAccount")])
+    fresh = {}
+    for atom in atoms:
+        for v in atom.variables():
+            if v not in (KEY, X1):
+                assert fresh.setdefault(v, v) is v, atom
+    assert set(fresh) == {X2, m.Var("x3")}
+    assert atoms[-1] == A(bank_kb, "relative", KEY, X2)
+
+
 # -- semantic filter -------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -426,6 +447,32 @@ def test_refinement_yields_distinct_atoms(monkeypatch, bank_kb,
 
 
 # -- equivalence-scan index ------------------------------------------------------------
+
+def test_equivalence_scan_indexes_each_node_once(bank_kb):
+    """The scan indexes every node registered since the previous scan, in
+    ``seq`` order, and no node twice."""
+
+    class Signatures:
+        def __init__(self):
+            self.asked = []
+
+        def signature(self, pattern):
+            self.asked.append(pattern)
+            return None  # every node may be equivalent to every pattern
+
+    trie, root = fresh_trie(trivial_pattern("Client"))
+    ctx = Signatures()
+    added = [root]
+    for pred in ("Account", "CreditCard", "Gold"):
+        node = node_for(extended(root.pattern, A(bank_kb, pred, KEY)), root)
+        trie.register(root, node)
+        added.append(node)
+        assert trie.equivalence_scan(root.pattern, ctx) == added
+    patterns = [n.pattern for n in added]
+    # Each node once, then the scanned pattern itself, per scan.
+    assert ctx.asked == [*patterns[:2], root.pattern, patterns[2],
+                         root.pattern, patterns[3], root.pattern]
+
 
 def _outcome(res):
     """Trie shape, patterns, supports and per-depth counters of a run."""
