@@ -148,7 +148,7 @@ def run(cfg: RunConfig) -> int:
     _write_patterns(out / "patterns.txt", result)
     _write_stats(out / "stats.csv", result)
     _write_graphml(out / "trie.graphml", result)
-    print(f"{len(result.patterns)} frequent patterns -> {out}")
+    print(f"{len(result.trie.nodes())} frequent patterns -> {out}")
     models = result.stats.part_models
     print(f"full chase: {len(models)} parts, {sum(models)} models, "
           f"{math.prod(models)} in their product")
@@ -171,7 +171,7 @@ def compare_modes(cfg: RunConfig) -> int:
     for mode in (mining.MODE_SEM, mining.MODE_NOSEM):
         result = mining.mine(kb, replace(cfg.mining, mode=mode), cfg.chase)
         # Keep what is reported; the trie is freed before the next mode.
-        runs[mode] = (result.stats, len(result.patterns))
+        runs[mode] = (result.stats, len(result.trie.nodes()))
         del result
     with open(out / "compare.csv", "w", encoding="utf-8") as f:
         f.write("depth,cand_sem,freq_sem,cand_nosem,freq_nosem,"

@@ -33,7 +33,7 @@ satisfiability against the intensional KB, semantic freeness (no
 non-reference atom is deducible from the rest), and non-equivalence to any
 frequent pattern already in the trie, tested only against the nodes that
 may be equivalent to it by frozen-chase signature and, unless a part of the
-full chase is truncated, by certain answers (``Trie.equivalence_scan``).
+full chase is truncated, by certain answers (``SemanticContext.note``).
 Those answers come first when no disjunctive rule has an existential
 disjunct: a candidate with one is satisfiable and is not searched.
 ``nosem`` skips all three and accepts every candidate.
@@ -126,11 +126,10 @@ class TrieNode:
     """One atom of a pattern; the root-to-node path is the pattern itself."""
 
     __slots__ = ("atom", "pattern", "support", "depth", "parent", "children",
-                 "seq", "answers")
+                 "seq")
 
     def __init__(self, atom: m.Atom, pattern: QuerySpec, support: Fraction,
-                 depth: int, parent: Optional["TrieNode"],
-                 answers: Optional[frozenset] = None):
+                 depth: int, parent: Optional["TrieNode"]):
         self.atom = atom
         self.pattern = pattern
         self.support = support
@@ -138,7 +137,6 @@ class TrieNode:
         self.parent = parent
         self.children: list[TrieNode] = []
         self.seq = 0
-        self.answers = answers
 
     def right_brothers(self) -> list["TrieNode"]:
         if self.parent is None:
@@ -152,15 +150,8 @@ class TrieNode:
 
 class Trie:
     def __init__(self, root: TrieNode):
-        self.root = root
         # Every node in registration order, which is ``seq`` order.
         self._nodes: list[TrieNode] = [root]
-        # Equivalence-scan index, filled lazily by ``semantic_filter`` so
-        # that runs without the semantic tests never compute a signature:
-        # nodes by frozen-chase signature (None: the chase has none), and
-        # how many nodes, in ``seq`` order, it holds.
-        self.by_signature: dict[Optional[frozenset], list[TrieNode]] = {}
-        self._indexed = 0
 
     def register(self, parent: TrieNode, node: TrieNode) -> None:
         node.seq = len(self._nodes)
@@ -169,28 +160,6 @@ class Trie:
 
     def nodes(self) -> list[TrieNode]:
         return list(self._nodes)
-
-    def equivalence_scan(self, pattern: QuerySpec, ctx: SemanticContext,
-                         answers: Optional[frozenset] = None) -> list:
-        """The nodes ``pattern`` may be equivalent to: those sharing its
-        signature plus those without one, or every node when it has none.
-        Given its certain ``answers``, fewer: containment read from an
-        untruncated chase is sound, so a node with a signature contains
-        ``pattern`` only if its answers are a subset of ``pattern``'s, equal
-        if ``pattern`` has one too; if no node's are, it needs none."""
-        for node in self._nodes[self._indexed:]:
-            self.by_signature.setdefault(
-                ctx.signature(node.pattern), []).append(node)
-        self._indexed = len(self._nodes)
-        unsigned = self.by_signature.get(None, [])
-        if answers is not None and not any(
-                node.answers <= answers for node in self._nodes):
-            return unsigned
-        signature = ctx.signature(pattern)
-        if signature is None:
-            return self.nodes()
-        return [node for node in self.by_signature.get(signature, [])
-                if answers is None or node.answers == answers] + unsigned
 
 
 @dataclass(frozen=True)
@@ -218,8 +187,12 @@ class MiningConfig:
 @dataclass
 class MineResult:
     trie: Trie
-    patterns: list[tuple[QuerySpec, Fraction]]
     stats: RunStats
+
+    @property
+    def patterns(self) -> list[tuple[QuerySpec, Fraction]]:
+        """Each trie node's pattern and support, in registration order."""
+        return [(n.pattern, n.support) for n in self.trie.nodes()]
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +426,11 @@ def is_semantically_free(pattern: QuerySpec, ctx: SemanticContext) -> bool:
     return True
 
 
-def semantic_filter(pattern: QuerySpec, ctx: SemanticContext, trie: Trie,
+def semantic_filter(pattern: QuerySpec, ctx: SemanticContext,
                     answers: Optional[Callable[[], frozenset]] = None) -> str:
     """Satisfiability, then semantic freeness, then the equivalence scan
-    over the trie nodes that share the candidate's signature and the
-    certain answers that ``answers``, if given, returns.  With those and
+    over the patterns noted in ``ctx`` that share the candidate's signature
+    and certain answers that ``answers``, if given, returns.  With those and
     ``ctx.witnessable``, a candidate with an answer is satisfiable and is
     not searched: its match lies in an untruncated full-KB model, and no
     split drops a child, as no disjunct is existential."""
@@ -467,8 +440,8 @@ def semantic_filter(pattern: QuerySpec, ctx: SemanticContext, trie: Trie,
     if not is_semantically_free(pattern, ctx):
         return PRUNED_NOT_SFREE
     key = None if answers is None else answers()
-    for other in trie.equivalence_scan(pattern, ctx, key):
-        if ctx.equivalent(pattern, other.pattern):
+    for other in ctx.equivalence_scan(pattern, key):
+        if ctx.equivalent(pattern, other):
             return PRUNED_EQUIVALENT
     return ACCEPTED
 
@@ -515,15 +488,17 @@ class _Miner:
     def run(self) -> MineResult:
         root_pattern = trivial_pattern(self.cfg.reference_concept)
         root = TrieNode(root_pattern.body[0], root_pattern, Fraction(1), 1,
-                        None, self.evaluator.reference_extension)
+                        None)
         trie = Trie(root)
+        if self.ctx is not None:
+            self.ctx.note(root_pattern, self.evaluator.reference_extension
+                          if self.keyed else None)
         # One row per depth up to the limit, whichever depths get candidates.
         for depth in range(1, self.cfg.max_depth + 1):
             self.stats.at(depth)
         self.stats.at(1).record(ACCEPTED, True)  # the reference pattern
         self.expand_node(root, trie, self.evaluator.start())
-        patterns = [(n.pattern, n.support) for n in trie.nodes()]
-        return MineResult(trie, patterns, self.stats)
+        return MineResult(trie, self.stats)
 
     def expand_node(self, node: TrieNode, trie: Trie,
                     matches: Matches) -> None:
@@ -539,7 +514,7 @@ class _Miner:
             if self.cfg.mode != MODE_NOSEM:
                 evaluate = cache(lambda: frozenset(
                     self.evaluator.extend(matches, atom).bindings))
-                verdict = semantic_filter(child_pattern, self.ctx, trie,
+                verdict = semantic_filter(child_pattern, self.ctx,
                                           evaluate if self.keyed else None)
             frequent = False
             if verdict == ACCEPTED:
@@ -549,7 +524,10 @@ class _Miner:
                 if frequent:
                     trie.register(node, TrieNode(
                         atom, child_pattern, self.evaluator.fraction(answers),
-                        node.depth + 1, node, answers if self.keyed else None))
+                        node.depth + 1, node))
+                    if self.ctx is not None:
+                        self.ctx.note(child_pattern,
+                                      answers if self.keyed else None)
             counts.record(verdict, frequent)
         if node.depth + 1 < self.cfg.max_depth:
             for child in node.children:

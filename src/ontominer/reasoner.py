@@ -48,12 +48,12 @@ miner spares the first where a candidate's certain answers witness it.
 ``canonical_query`` gives queries equal up to renaming one form, exactly
 and at any size, by colour refinement and individualization.
 
-The chase and query answering are functions of their inputs, but two
-things keep state.  ``canonical_query`` memoizes into a process-global
-``lru_cache``, so a second mining run in one process finds its forms cached
-and runs faster; time each run in a process of its own.  Each
-``SemanticContext`` keeps an unlocked memo (see there) and no index of its
-models; ``SupportEvaluator`` keeps its parts' indexes.
+The chase and query answering are functions of their inputs.  The state
+of the semantic tests is the canonical-form cache plus, per context, a memo
+and a scan index: ``canonical_query`` memoizes into a process-global
+``lru_cache``, so a second mining run in one process runs faster (time each
+run in a process of its own), and a ``SemanticContext``, built once per
+``sem`` run, keeps the rest (see there).
 """
 
 from __future__ import annotations
@@ -860,28 +860,34 @@ def _swap_fixes(body: Counter, u: int, v: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class SemanticContext:
-    """The clausified intensional program plus one memo by canonical form:
-    full frozen chases, for the queries whose models are read (signatures,
-    the specific side of a containment test), each with the marks common to
-    its models (``signature``), interned.  A containment needs each
-    predicate of the general query in every model, so it is refused without
-    a match when ``q2``'s facts cannot reach one (``subsumes``) or its marks
-    lack one or a key position (``_contains``).  ``witnessable``: no
-    disjunctive rule has an existential disjunct (``miner.semantic_filter``).
+    """The semantic filter's state for one mining run: the clausified
+    intensional program, the index of the patterns ``note`` was given
+    (``equivalence_scan``), and one memo by canonical form: full frozen
+    chases, for the queries whose models are read (signatures, the specific
+    side of a containment test), each with the marks common to its models
+    (``signature``), interned, and no index of them.  A containment needs
+    each predicate of the general query in every model, so it is refused
+    without a match when ``q2``'s facts cannot reach one (``subsumes``) or
+    its marks lack one or a key position (``_contains``).  ``witnessable``:
+    no disjunctive rule has an existential disjunct (``semantic_filter``).
 
-    The memo is per context and not locked, so share a context across
-    threads only for reading after warm-up, or confine it to one thread
-    (the miner is single-threaded).
+    The memo and the index are per context and not locked, so share a
+    context across threads only for reading after warm-up, or confine it to
+    one thread (the miner is single-threaded).
     """
 
     def __init__(self, kb_cp: m.CombinedKB, cfg: ChaseConfig = ChaseConfig()):
         self.program = clausify(kb_cp)
         self.base_facts = tuple(kb_cp.abox)
         self.cfg = cfg
-        self._frozen_memo: dict[tuple, ModelSet] = {}
-        # The marks of each memoized chase, and each distinct marks set.
-        self._frozen_marks: dict[tuple, frozenset] = {}
+        # Each memoized chase with its marks, and each distinct marks set.
+        self._frozen: dict[tuple, tuple[ModelSet, frozenset]] = {}
         self._marks: dict[frozenset, frozenset] = {}
+        # The noted patterns with their answers, and the scan index by
+        # signature and answers over the first ``_indexed`` of them.
+        self._noted: list[tuple[QuerySpec, Optional[frozenset]]] = []
+        self._by_key: dict[Optional[tuple], list[QuerySpec]] = {}
+        self._indexed = 0
         self._plan = _plan(self.program)
         self._base_preds = frozenset(a.pred for a in self.base_facts)
         self.witnessable = all(head[0] == "atom" for _, _, heads, _
@@ -897,13 +903,13 @@ class SemanticContext:
         consts = frozenset(c.name for c in mapping.values())
         return list(self.base_facts) + frozen, consts
 
-    def _frozen_chase(self, q: QuerySpec, form: tuple) -> ModelSet:
-        """The chase of frozen ``q``, memoized by its canonical ``form``
-        with the marks every model of it holds (``_frozen_marks``): each
-        predicate that occurs, and each ``(pred, i)`` with the frozen key at
-        argument ``i``."""
-        ms = self._frozen_memo.get(form)
-        if ms is None:
+    def _frozen_chase(self, q: QuerySpec,
+                      form: tuple) -> tuple[ModelSet, frozenset]:
+        """The chase of frozen ``q``, memoized by its canonical ``form``,
+        and the marks every model of it holds: each predicate that occurs,
+        and each ``(pred, i)`` with the frozen key at argument ``i``."""
+        entry = self._frozen.get(form)
+        if entry is None:
             facts, consts = self._freeze(q)
             ms = chase(self.program, facts, self.cfg, extra_individuals=consts)
             common: Optional[set] = None
@@ -913,17 +919,16 @@ class SemanticContext:
                              for i, c in enumerate(a[1:]) if c == "$q0")
                 common = marks if common is None else common & marks
             marks = frozenset(common or ())
-            self._frozen_marks[form] = self._marks.setdefault(marks, marks)
-            self._frozen_memo[form] = ms
-        return ms
+            entry = ms, self._marks.setdefault(marks, marks)
+            self._frozen[form] = entry
+        return entry
 
     def _contains(self, q1: QuerySpec, q2: QuerySpec, form2: tuple) -> bool:
         """True iff q1 contains q2, whose canonical form is ``form2``."""
-        ms = self._frozen_chase(q2, form2)
+        ms, marks = self._frozen_chase(q2, form2)
         if ms.inconsistent:
             raise InconsistentKB(
                 "frozen query body is inconsistent with the terminology")
-        marks = self._frozen_marks[form2]
         if not all(a.pred in marks and all(
                 (a.pred, i) in marks for i, t in enumerate(a.args)
                 if t == q1.key) for a in q1.body if a.pred != m.O_PRED):
@@ -945,7 +950,8 @@ class SemanticContext:
         try:
             return _Chase(self.program, facts, self.cfg, consts).consistent()
         except BranchLimitExceeded:
-            return not self._frozen_chase(q, canonical_query(q)).inconsistent
+            ms, _ = self._frozen_chase(q, canonical_query(q))
+            return not ms.inconsistent
 
     def subsumes(self, q1: QuerySpec, q2: QuerySpec) -> bool:
         """True iff q1 is at least as general as q2 (q1 contains q2).
@@ -975,10 +981,37 @@ class SemanticContext:
         not hold the key are left out, since that mapping may merge
         variables into the key.  None when the chase is truncated (or
         inconsistent), where the argument does not hold."""
-        form = canonical_query(q)
-        ms = self._frozen_chase(q, form)
-        return (None if ms.truncated or ms.inconsistent
-                else self._frozen_marks[form])
+        ms, marks = self._frozen_chase(q, canonical_query(q))
+        return None if ms.truncated or ms.inconsistent else marks
+
+    def note(self, q: QuerySpec, answers: Optional[frozenset] = None) -> None:
+        """Add ``q``, with its certain ``answers`` if they key the scan, to
+        the patterns ``equivalence_scan`` returns."""
+        self._noted.append((q, answers))
+
+    def equivalence_scan(self, q: QuerySpec,
+                         answers: Optional[frozenset] = None
+                         ) -> list[QuerySpec]:
+        """The noted patterns ``q`` may be equivalent to, in noted order:
+        those sharing its signature plus those without one, or all when it
+        has none.  Given its certain ``answers``, fewer: containment read
+        from an untruncated chase is sound, so a pattern with a signature
+        contains ``q`` only if its answers are a subset of ``q``'s, equal if
+        ``q`` has one too; if none's are, it needs none.  Indexing waits
+        for the first scan after a pattern is noted."""
+        for p, noted in self._noted[self._indexed:]:
+            signature = self.signature(p)
+            key = None if signature is None else (signature, noted)
+            self._by_key.setdefault(key, []).append(p)
+        self._indexed = len(self._noted)
+        unsigned = self._by_key.get(None, [])
+        if answers is not None and not any(
+                noted <= answers for _, noted in self._noted):
+            return unsigned
+        signature = self.signature(q)
+        if signature is None:
+            return [p for p, _ in self._noted]
+        return self._by_key.get((signature, answers), []) + unsigned
 
 
 def format_models(ms: ModelSet) -> str:

@@ -15,7 +15,7 @@ from ontominer.cli import main
 from ontominer.clausify import clausify
 from ontominer.miner import (KEY, MODE_NOSEM, MODE_SEM,
                              MiningConfig, PRUNED_NOT_SFREE,
-                             PRUNED_UNSAT, SupportEvaluator, Trie, TrieNode,
+                             PRUNED_UNSAT, SupportEvaluator,
                              default_bias, is_semantically_free, mine,
                              semantic_filter, trivial_pattern)
 from ontominer.reasoner import (ChaseConfig, QuerySpec, SemanticContext,
@@ -86,15 +86,14 @@ def test_criterion_4_existential_chase(bank_kb):
 
 def test_criterion_5_pruning_behaviors(bank_kb, bank_inverse_kb):
     ctx = SemanticContext(bank_kb.without_abox())
-    trie = Trie(TrieNode(A(bank_kb, "Account", KEY),
-                         trivial_pattern("Account"), Fraction(1), 1, None))
+    ctx.note(trivial_pattern("Account"))
     unsat = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
                             A(bank_kb, "CreditCard", KEY)))
-    assert semantic_filter(unsat, ctx, trie) == PRUNED_UNSAT
+    assert semantic_filter(unsat, ctx) == PRUNED_UNSAT
     not_sfree = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
                                 A(bank_kb, "isOwnerOf", X, KEY),
                                 A(bank_kb, "Client", X)))
-    assert semantic_filter(not_sfree, ctx, trie) == PRUNED_NOT_SFREE
+    assert semantic_filter(not_sfree, ctx) == PRUNED_NOT_SFREE
     exempt = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                              A(bank_kb, "isOwnerOf", KEY, X)))
     assert is_semantically_free(exempt, ctx)

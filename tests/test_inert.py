@@ -353,7 +353,7 @@ def test_refused_containments_agree_with_the_match(sem_d3_calls):
         unreachable += not all(a.pred in reached for a in q1.body)
         assert result == matched(ctx, q1, q2), f"{q1} >= {q2}"
     for ctx, q1, q2, result in contained:
-        marks = ctx._frozen_marks[canonical_query(q2)]
+        _, marks = ctx._frozen[canonical_query(q2)]
         unmarked += not all(a.pred in marks for a in q1.body)
         assert result == matched(ctx, q1, q2), f"{q1} >= {q2}"
     assert unreachable and unmarked

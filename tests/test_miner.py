@@ -39,6 +39,15 @@ def fresh_trie(pattern: QuerySpec) -> tuple[Trie, TrieNode]:
     return Trie(root), root
 
 
+def noted_ctx(kb, *patterns: QuerySpec) -> SemanticContext:
+    """A fresh context for ``kb``'s intensional part, with ``patterns``
+    noted as the miner notes the trie's nodes."""
+    ctx = SemanticContext(kb.without_abox())
+    for pattern in patterns:
+        ctx.note(pattern)
+    return ctx
+
+
 # -- refinement ----------------------------------------------------------------
 
 def test_root_children_share_key(bank_kb):
@@ -123,36 +132,33 @@ def bank_ctx(bank_kb):
 
 
 def test_filter_unsatisfiable(bank_kb, bank_ctx):
-    trie, _ = fresh_trie(trivial_pattern("Account"))
     p = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
                         A(bank_kb, "CreditCard", KEY)))
-    assert semantic_filter(p, bank_ctx, trie) == PRUNED_UNSAT
+    assert semantic_filter(p, bank_ctx) == PRUNED_UNSAT
 
 
 def test_filter_not_s_free(bank_kb, bank_ctx):
-    trie, _ = fresh_trie(trivial_pattern("Account"))
     p = QuerySpec(KEY, (A(bank_kb, "Account", KEY),
                         A(bank_kb, "isOwnerOf", X1, KEY),
                         A(bank_kb, "Client", X1)))
-    assert semantic_filter(p, bank_ctx, trie) == PRUNED_NOT_SFREE
+    assert semantic_filter(p, bank_ctx) == PRUNED_NOT_SFREE
 
 
 def test_filter_reference_atom_exempt(bank_kb, bank_ctx):
-    trie, _ = fresh_trie(trivial_pattern("Client"))
+    ctx = noted_ctx(bank_kb, trivial_pattern("Client"))
     p = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                         A(bank_kb, "isOwnerOf", KEY, X1)))
-    assert semantic_filter(p, bank_ctx, trie) == ACCEPTED
+    assert semantic_filter(p, ctx) == ACCEPTED
     assert is_semantically_free(p, bank_ctx)
 
 
 def test_filter_equivalent_against_trie(bank_kb, bank_ctx):
-    trie, root = fresh_trie(trivial_pattern("Client"))
-    kept = node_for(extended(root.pattern, A(bank_kb, "relative", KEY, X1)),
-                    root)
-    trie.register(root, kept)
+    root = trivial_pattern("Client")
+    kept = extended(root, A(bank_kb, "relative", KEY, X1))
+    ctx = noted_ctx(bank_kb, root, kept)
     p = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
                         A(bank_kb, "relative", X1, KEY)))
-    assert semantic_filter(p, bank_ctx, trie) == PRUNED_EQUIVALENT
+    assert semantic_filter(p, ctx) == PRUNED_EQUIVALENT
 
 
 REFLEXIVE = """
@@ -174,9 +180,9 @@ def test_signature_keeps_only_key_positions():
     assert ctx.equivalent(loose, tight)
     assert ctx.signature(loose) is not None
     assert ctx.signature(loose) == ctx.signature(tight)
-    trie, root = fresh_trie(trivial_pattern("C"))
-    trie.register(root, node_for(loose, root))
-    assert semantic_filter(tight, ctx, trie) == PRUNED_EQUIVALENT
+    ctx.note(trivial_pattern("C"))
+    ctx.note(loose)
+    assert semantic_filter(tight, ctx) == PRUNED_EQUIVALENT
 
 
 # -- support ----------------------------------------------------------------------
@@ -449,29 +455,59 @@ def test_refinement_yields_distinct_atoms(monkeypatch, bank_kb,
 # -- equivalence-scan index ------------------------------------------------------------
 
 def test_equivalence_scan_indexes_each_node_once(bank_kb):
-    """The scan indexes every node registered since the previous scan, in
-    ``seq`` order, and no node twice."""
+    """The scan indexes every pattern noted since the previous scan, in the
+    order noted, and no pattern twice."""
+    asked = []
 
-    class Signatures:
-        def __init__(self):
-            self.asked = []
+    def signature(pattern):
+        asked.append(pattern)
+        return None  # every noted pattern may be equivalent to every pattern
 
-        def signature(self, pattern):
-            self.asked.append(pattern)
-            return None  # every node may be equivalent to every pattern
-
-    trie, root = fresh_trie(trivial_pattern("Client"))
-    ctx = Signatures()
+    root = trivial_pattern("Client")
+    ctx = noted_ctx(bank_kb, root)
+    ctx.signature = signature
     added = [root]
     for pred in ("Account", "CreditCard", "Gold"):
-        node = node_for(extended(root.pattern, A(bank_kb, pred, KEY)), root)
-        trie.register(root, node)
-        added.append(node)
-        assert trie.equivalence_scan(root.pattern, ctx) == added
-    patterns = [n.pattern for n in added]
-    # Each node once, then the scanned pattern itself, per scan.
-    assert ctx.asked == [*patterns[:2], root.pattern, patterns[2],
-                         root.pattern, patterns[3], root.pattern]
+        pattern = extended(root, A(bank_kb, pred, KEY))
+        ctx.note(pattern)
+        added.append(pattern)
+        assert ctx.equivalence_scan(root) == added
+    # Each pattern once, then the scanned pattern itself, per scan.
+    assert asked == [*added[:2], root, added[2], root, added[3], root]
+
+
+def test_contexts_share_no_noted_patterns(bank_kb):
+    """Each context scans only the patterns noted in it."""
+    root = trivial_pattern("Client")
+    first = noted_ctx(bank_kb, root)
+    second = noted_ctx(bank_kb)
+    assert first.equivalence_scan(root) == [root]
+    assert second.equivalence_scan(root) == []
+    second.note(extended(root, A(bank_kb, "Account", KEY)))
+    assert first.equivalence_scan(root) == [root]
+
+
+def test_sem_at_depth_one_takes_no_signature_and_no_frozen_chase(
+        bank_kb, monkeypatch):
+    """At depth 1 no candidate is scanned, so the noted root is never
+    indexed: no signature is taken and no frozen query is chased."""
+    asked = []
+    signature, frozen_chase = (SemanticContext.signature,
+                               SemanticContext._frozen_chase)
+
+    def signature_spy(self, q):
+        asked.append(("signature", q))
+        return signature(self, q)
+
+    def frozen_chase_spy(self, q, form):
+        asked.append(("frozen chase", q))
+        return frozen_chase(self, q, form)
+
+    monkeypatch.setattr(SemanticContext, "signature", signature_spy)
+    monkeypatch.setattr(SemanticContext, "_frozen_chase", frozen_chase_spy)
+    res = mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 1, MODE_SEM))
+    assert len(res.patterns) == 1
+    assert asked == []
 
 
 def _outcome(res):
@@ -485,22 +521,26 @@ def _full_scan(kb, cfg, chase_cfg=ChaseConfig(), signatures=False,
                answer_key=False, verdicts=None):
     """Mine with every signature withheld, so each candidate is compared
     against every trie node its answers allow; with ``signatures``, only
-    against those that share its signature.  Without ``answer_key`` the
-    miner calls ``semantic_filter`` with three arguments, which scans
-    without the answer key.  Each candidate's body, verdict and whether its
-    scan was keyed on its answers are appended to ``verdicts``."""
+    against those that share its signature.  Without ``answer_key`` every
+    pattern is noted and scanned without answers, so no scan is keyed on
+    them.  Each candidate's body, verdict and whether its scan was keyed
+    on its answers are appended to ``verdicts``."""
     log = [] if verdicts is None else verdicts
+    note = SemanticContext.note
 
-    def recorded(pattern, ctx, trie, answers=None):
+    def recorded(pattern, ctx, answers=None):
         if not answer_key:
             answers = None
-        verdict = semantic_filter(pattern, ctx, trie, answers)
+        verdict = semantic_filter(pattern, ctx, answers)
         log.append((pattern.body, verdict, answers is not None))
         return verdict
 
     with pytest.MonkeyPatch.context() as mp:
         if not signatures:
             mp.setattr(SemanticContext, "signature", lambda self, q: None)
+        if not answer_key:
+            mp.setattr(SemanticContext, "note",
+                       lambda self, q, answers=None: note(self, q))
         mp.setattr(miner, "semantic_filter", recorded)
         return mine(kb, cfg, chase_cfg)
 
@@ -692,12 +732,13 @@ def test_containment_matches_answer_query(monkeypatch, request, kb_name):
          MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
     assert {result for *_, result in calls} == {True, False}
     for ctx, q1, q2, form2, result in calls:
-        ms = ctx._frozen_chase(q2, form2)
+        ms, _ = ctx._frozen_chase(q2, form2)
         assert result == ("$q0" in answer_query(ms, q1)), f"{q1} >= {q2}"
 
 
 def test_mining_twice_in_one_process_is_identical(bank_kb):
-    """Neither the trie's scan index nor the process-wide canonical-form
-    cache may carry state from one run into the next."""
+    """Neither the context's memo and scan index, which each run builds
+    afresh, nor the process-wide canonical-form cache may carry state from
+    one run into the next."""
     cfg = MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM)
     assert _outcome(mine(bank_kb, cfg)) == _outcome(mine(bank_kb, cfg))

@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` rebinds entry points of ``clausify``, ``reasoner``
 and ``miner`` by name and fails when one is missing, so a renamed entry
-point shows here rather than only in the traced benchmark run."""
+point shows here rather than only in the traced benchmark run, and an
+entry point that the program no longer calls through its wrapped name shows
+as a span with no calls."""
 
 import json
 import os
@@ -33,3 +35,8 @@ def test_traced_mine_reports_every_layer(tmp_path):
     assert layers["reasoner.chase.frozen.calls"] > 0
     assert {"reasoner.canonical_query.hits",
             "reasoner.canonical_query.misses"} <= set(layers)
+    # A wrapped name that calls are routed around reads 0.  Nothing calls
+    # the containment span's name: containment tests match compiled queries.
+    idle = {name for name, value in layers.items()
+            if name.endswith(".calls") and not value}
+    assert idle == {"reasoner.answer_query.containment.calls"}
