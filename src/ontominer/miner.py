@@ -57,9 +57,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import model as m
 from .clausify import clausify, compile_atom
 from .errors import EmptyReferenceConcept, InconsistentKB
-from .reasoner import (ChaseConfig, ModelSet, QuerySpec, SemanticContext,
-                       answer_query, chase, extend_bindings, index_model,
-                       split_abox)
+from .reasoner import (ChaseConfig, ModelIndex, ModelSet, QuerySpec,
+                       SemanticContext, answer_query, chase, split_abox)
 
 log = logging.getLogger(__name__)
 
@@ -226,8 +225,9 @@ class SupportEvaluator:
     with the reference atom and every atom is linked to ``key``, so each of
     its matches lies inside one part, and its certain answers are the union
     of each part's; parts without a reference instance add none and are
-    dropped.  Each kept part's models are indexed once, here, and models
-    that hold the same atoms of a predicate share one list of them.
+    dropped.  Each kept part has one ``ModelIndex``, kept for the run, so a
+    model is indexed once and models that hold the same atoms of a
+    predicate share one list of them.
 
     Support is evaluated along the trie.  ``start`` gives the reference
     pattern's matches, the binding ``(key,)`` in every model of each
@@ -238,33 +238,30 @@ class SupportEvaluator:
     atom is compiled and matched, once per distinct pair of a binding list
     and a shared atom list, so models that agree share their bindings.
     The miner holds the matches of the patterns on the trie path it is
-    expanding, so the live match sets grow with those patterns' matches;
-    ``answers`` folds ``extend`` over a pattern's atoms."""
+    expanding, so the live match sets grow with those patterns' matches.
+    ``fraction`` gives one ``Fraction`` object per answer count."""
 
     def __init__(self, parts: Sequence[ModelSet], reference_concept: str):
         self.reference = trivial_pattern(reference_concept)
         extensions = [answer_query(ms, self.reference) for ms in parts]
         kept = [(ms, ext) for ms, ext in zip(parts, extensions) if ext]
         self.parts = tuple(ms for ms, _ in kept)
-        # Per reference key, its part's model indexes and individuals.
-        shared: dict[frozenset, list] = {}
-        self._part_of: dict[str, tuple] = {}
+        # Per reference key, the view of its part's models.
+        self._part_of: dict[str, ModelIndex] = {}
         for ms, ext in kept:
-            indexes = tuple({pred: shared.setdefault(frozenset(atoms), atoms)
-                             for pred, atoms in index_model(model).items()}
-                            for model in ms.models)
-            part = (indexes, frozenset(ms.individuals), ms.individuals)
-            self._part_of.update((key, part) for key in sorted(ext))
+            view = ModelIndex(ms)
+            self._part_of.update((key, view) for key in sorted(ext))
         self.reference_extension = frozenset().union(*extensions)
         if not self.reference_extension:
             raise EmptyReferenceConcept(
                 f"concept '{reference_concept}' has no cautious instances")
+        self._fractions: dict[int, Fraction] = {}
 
     def start(self) -> Matches:
         """The matches of the reference pattern."""
         return Matches({KEY: 0}, {
-            key: ([(key,)],) * len(indexes)
-            for key, (indexes, _, _) in self._part_of.items()})
+            key: ([(key,)],) * len(view.models)
+            for key, view in self._part_of.items()})
 
     def extend(self, matches: Matches, atom: m.Atom,
                keep: bool = False) -> Matches:
@@ -273,19 +270,18 @@ class SupportEvaluator:
         answers, found by stopping at the first extension in each model."""
         varmap = dict(matches.varmap)
         step = compile_atom(atom, varmap)
-        nvars = len(varmap)
+        body, nvars = (step,), len(varmap)
         out = {}
         for key, per_model in matches.bindings.items():
-            indexes, named, individuals = self._part_of[key]
+            view = self._part_of[key]
             found = []
             # The same bindings extend alike over the same shared atoms.
             done: dict[tuple[int, int], list[tuple]] = {}
-            for index, bindings in zip(indexes, per_model):
-                pair = (id(bindings), id(index.get(step[0])))
+            for i, bindings in enumerate(per_model):
+                pair = (id(bindings), id(view.index(i).get(step[0])))
                 if pair not in done:
-                    done[pair] = extend_bindings(step, nvars, bindings, index,
-                                                 named, individuals,
-                                                 first=not keep)
+                    done[pair] = view.extend(i, body, nvars, bindings,
+                                             first=not keep)
                 ext = done[pair]
                 if not ext:
                     break
@@ -294,24 +290,13 @@ class SupportEvaluator:
                 out[key] = tuple(found) if keep else None
         return Matches(varmap, out)
 
-    def answers(self, pattern: QuerySpec) -> frozenset[str]:
-        ref = self.reference
-        if pattern.key != ref.key or pattern.body[:1] != ref.body \
-                or not pattern.is_connected():
-            raise ValueError(f"support needs a pattern that starts with "
-                             f"{ref.body[0]} and is connected to key: "
-                             f"{pattern}")
-        matches = self.start()
-        for atom in pattern.body[1:]:
-            matches = self.extend(matches, atom, keep=True)
-        return frozenset(matches.bindings)
-
-    def support(self, pattern: QuerySpec) -> Fraction:
-        return self.fraction(self.answers(pattern))
-
     def fraction(self, answers) -> Fraction:
-        """The share of the reference extension that ``answers`` covers."""
-        return Fraction(len(answers), len(self.reference_extension))
+        """The share of the reference extension that ``answers`` covers, one
+        object per count."""
+        n = len(answers)
+        if n not in self._fractions:
+            self._fractions[n] = Fraction(n, len(self.reference_extension))
+        return self._fractions[n]
 
 
 def default_bias(kb: m.CombinedKB,

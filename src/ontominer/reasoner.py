@@ -29,11 +29,13 @@ Saturated consistent branches are projected to atoms over named constants
 and reduced to subset-minimal representatives.  Cautious entailment is
 membership in every remaining model; a query answer must have a grounding
 over named individuals in every model (the per-model witness may differ).
-``answer_query`` compiles the query (``compile_query``), indexes each model
-by predicate and keeps the keys that match in the first model and, bound,
-in every other (``is_certain_answer``).  Containment calls those helpers
-directly, to test one key.  Support evaluation extends a pattern's bindings
-in one model by one compiled atom at a time (``extend_bindings``).
+Outside the chase, every match in a model set goes through one view of
+it, ``ModelIndex``, which indexes each model by predicate on first use.
+``answer_query`` compiles the query (``compile_query``) and keeps the keys
+that match in the first model and, bound, in every other (``certain``).
+Containment asks ``certain`` of one key.  Support evaluation extends a
+pattern's bindings in one model by one compiled atom at a time
+(``extend``).
 
 ``split_abox`` cuts a KB into parts that share no constant when no rule can
 join them; the miner chases each part on its own and never builds the
@@ -113,12 +115,6 @@ class QuerySpec:
                 if v not in seen:
                     seen.append(v)
         return tuple(seen)
-
-    def is_connected(self) -> bool:
-        """True iff every body atom is linked to ``key`` through a chain of
-        atoms that share variables (a ground atom never is)."""
-        return _all_linked([{t.name for t in a.args if isinstance(t, m.Var)}
-                            for a in self.body], {self.key.name})
 
     def __str__(self) -> str:
         return f"Q({self.key}) :- {', '.join(str(a) for a in self.body)}"
@@ -713,7 +709,7 @@ def cautious_entails(ms: ModelSet, atom: m.Atom) -> bool:
 
 def compile_query(q: QuerySpec) -> tuple[tuple, int]:
     """The body of ``q`` compiled for ``_match`` with ``key`` as variable 0,
-    and the count of its other variables."""
+    and the count of its variables."""
     varmap = {q.key: 0}
     body = [compile_atom(a, varmap) for a in q.body]
     # DL-safety holds for every variable that matches a model atom (see
@@ -721,47 +717,64 @@ def compile_query(q: QuerySpec) -> tuple[tuple, int]:
     # once the body is satisfied.
     if not any(("v", 0) in slots for _, slots in body):
         body.append((m.O_PRED, (("v", 0),)))
-    return tuple(body), len(varmap) - 1
+    return tuple(body), len(varmap)
 
 
-def index_model(model: frozenset, preds: Optional[set] = None) -> dict:
-    """The atoms of ``model`` by predicate, only those of ``preds`` if given."""
-    index: dict[str, list] = {}
-    for atom in model:
-        if preds is None or atom[0] in preds:
-            index.setdefault(atom[0], []).append(atom)
-    return index
+class ModelIndex:
+    """A model set viewed for matching compiled bodies: ``index(i)`` is
+    model ``i``'s atoms by predicate (only ``preds``'s, if given), built on
+    first use, so a match that fails in one model indexes none after it.
+    In a full view, which support keeps for the run, models that hold the
+    same atoms of a predicate share one list; a view limited to one query's
+    predicates serves that query alone and shares none."""
 
+    def __init__(self, ms: ModelSet, preds: Optional[set] = None):
+        self.models = ms.models
+        self.named = frozenset(ms.individuals)
+        self.individuals = ms.individuals
+        self._preds = preds
+        self._indexes: list[Optional[dict]] = [None] * len(ms.models)
+        self._shared: dict[frozenset, list] = {}
 
-def is_certain_answer(query: tuple[tuple, int], key: str,
-                      indexes: Iterable[dict], named: frozenset,
-                      individuals: Sequence[str]) -> bool:
-    """True iff each model in ``indexes`` matches the compiled ``query``
-    with ``key`` bound; ``named`` and ``individuals`` (sorted) are the
-    individuals of the models' set."""
-    body, free = query
-    # Models hold no $top atoms, and query bodies none either.
-    return all(next(_match(index, (), named, individuals, body, 0,
-                           [key] + [None] * free), None) is not None
-               for index in indexes)
+    def index(self, i: int) -> dict[str, list]:
+        index = self._indexes[i]
+        if index is None:
+            preds = self._preds
+            index = self._indexes[i] = {}
+            for atom in self.models[i]:
+                if preds is None or atom[0] in preds:
+                    index.setdefault(atom[0], []).append(atom)
+            if preds is None:
+                for pred, atoms in index.items():
+                    index[pred] = self._shared.setdefault(frozenset(atoms),
+                                                          atoms)
+        return index
 
+    def extend(self, i: int, body: tuple, nvars: int,
+               bindings: Iterable[tuple], first: bool = False) -> list[tuple]:
+        """The bindings of ``nvars`` variables that extend one of ``bindings``
+        (each over the variables numbered before ``body``'s new ones) over
+        the compiled ``body`` in model ``i``; only the first with ``first``.
+        Extensions of distinct bindings are distinct."""
+        index = self.index(i)
+        out = []
+        for parent in bindings:
+            for b in _match(index, (), self.named, self.individuals, body, 0,
+                            [*parent] + [None] * (nvars - len(parent))):
+                out.append(tuple(b))
+                if first:
+                    return out
+        return out
 
-def extend_bindings(atom: tuple, nvars: int, bindings: Iterable[tuple],
-                    index: dict, named: frozenset, individuals: Sequence[str],
-                    first: bool = False) -> list[tuple]:
-    """The bindings of ``nvars`` variables that extend one of ``bindings``
-    (each over the variables numbered before ``atom``'s new ones) over the
-    compiled ``atom`` in one model's ``index``; only the first with
-    ``first``.  Extensions of distinct bindings are distinct."""
-    body = (atom,)
-    out = []
-    for parent in bindings:
-        for b in _match(index, (), named, individuals, body, 0,
-                        [*parent] + [None] * (nvars - len(parent))):
-            out.append(tuple(b))
-            if first:
-                return out
-    return out
+    def certain(self, body: tuple, nvars: int, key: str,
+                start: int = 0) -> bool:
+        """True iff each model from ``start`` on matches the compiled
+        ``body`` of ``nvars`` variables with variable 0 bound to ``key``."""
+        # Models hold no $top atoms, and query bodies none either.
+        return all(next(_match(self.index(i), (), self.named,
+                               self.individuals, body, 0,
+                               [key] + [None] * (nvars - 1)), None) is not None
+                   for i in range(start, len(self.models)))
 
 
 def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
@@ -770,15 +783,11 @@ def answer_query(ms: ModelSet, q: QuerySpec) -> frozenset[str]:
     that match in the first model are tested on the others."""
     if ms.inconsistent:
         raise InconsistentKB("query answering undefined: KB is inconsistent")
-    query = compile_query(q)
-    body, free = query
-    indexes = [index_model(model, {pred for pred, _ in body})
-               for model in ms.models]
-    named = frozenset(ms.individuals)
-    keys = {b[0] for index in indexes[:1] for b in _match(
-        index, (), named, ms.individuals, body, 0, [None] * (free + 1))}
-    return frozenset(k for k in keys if is_certain_answer(
-        query, k, indexes[1:], named, ms.individuals))
+    body, nvars = compile_query(q)
+    view = ModelIndex(ms, {pred for pred, _ in body})
+    keys = ({b[0] for b in view.extend(0, body, nvars, [()])}
+            if ms.models else ())
+    return frozenset(k for k in keys if view.certain(body, nvars, k, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -883,9 +892,11 @@ class SemanticContext:
         # Each memoized chase with its marks, and each distinct marks set.
         self._frozen: dict[tuple, tuple[ModelSet, frozenset]] = {}
         self._marks: dict[frozenset, frozenset] = {}
-        # The noted patterns with their answers, and the scan index by
-        # signature and answers over the first ``_indexed`` of them.
+        # The noted patterns with their answers, each distinct answer set,
+        # and the scan index by signature and answers over the first
+        # ``_indexed`` of them.
         self._noted: list[tuple[QuerySpec, Optional[frozenset]]] = []
+        self._answer_sets: set[Optional[frozenset]] = set()
         self._by_key: dict[Optional[tuple], list[QuerySpec]] = {}
         self._indexed = 0
         self._plan = _plan(self.program)
@@ -935,11 +946,9 @@ class SemanticContext:
             return False
         # No index is kept on memoized model sets: it would hold every
         # frozen chase's atoms twice.
-        query = compile_query(q1)
-        preds = {pred for pred, _ in query[0]}
-        return is_certain_answer(
-            query, "$q0", (index_model(model, preds) for model in ms.models),
-            frozenset(ms.individuals), ms.individuals)
+        body, nvars = compile_query(q1)
+        return ModelIndex(ms, {pred for pred, _ in body}).certain(
+            body, nvars, "$q0")
 
     def satisfiable(self, q: QuerySpec) -> bool:
         """True iff the frozen chase of ``q`` has a consistent leaf, found by
@@ -988,6 +997,7 @@ class SemanticContext:
         """Add ``q``, with its certain ``answers`` if they key the scan, to
         the patterns ``equivalence_scan`` returns."""
         self._noted.append((q, answers))
+        self._answer_sets.add(answers)
 
     def equivalence_scan(self, q: QuerySpec,
                          answers: Optional[frozenset] = None
@@ -1006,7 +1016,7 @@ class SemanticContext:
         self._indexed = len(self._noted)
         unsigned = self._by_key.get(None, [])
         if answers is not None and not any(
-                noted <= answers for _, noted in self._noted):
+                noted <= answers for noted in self._answer_sets):
             return unsigned
         signature = self.signature(q)
         if signature is None:

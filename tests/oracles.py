@@ -2,16 +2,19 @@
 against: equality written out as rules, minimal models by subset
 enumeration over the Herbrand base, certain answers by enumeration of
 variable assignments, and the pattern space by exhaustive enumeration of
-refinement sequences."""
+refinement sequences.  Also a pattern's support by folding the support
+evaluator's one-atom steps over its whole body, with the check that it is
+a pattern the miner could build."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
 from ontominer import model as m
 from ontominer.clausify import GroundProgram, ProgramRule
-from ontominer.miner import KEY, _make_atom, _placements
+from ontominer.miner import KEY, SupportEvaluator, _make_atom, _placements
 from ontominer.reasoner import ModelSet, QuerySpec, canonical_query
 
 
@@ -196,3 +199,41 @@ def enumerate_pattern_space(reference_concept: str,
                             results[key] = child
         frontier = grown
     return list(results.values())
+
+
+def is_connected(q: QuerySpec) -> bool:
+    """True iff every body atom of ``q`` is linked to ``key`` through a
+    chain of atoms that share variables (a ground atom never is)."""
+    reached = {q.key}
+    pending = [set(a.variables()) for a in q.body]
+    while pending:
+        rest = []
+        for vs in pending:
+            if vs & reached:
+                reached |= vs
+            else:
+                rest.append(vs)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return True
+
+
+def support_answers(evaluator: SupportEvaluator,
+                    pattern: QuerySpec) -> frozenset[str]:
+    """The certain answers of ``pattern``, a pattern as the miner builds
+    one, by folding ``evaluator.extend`` over its atoms after the first."""
+    ref = evaluator.reference
+    if pattern.key != ref.key or pattern.body[:1] != ref.body \
+            or not is_connected(pattern):
+        raise ValueError(f"support needs a pattern that starts with "
+                         f"{ref.body[0]} and is connected to key: {pattern}")
+    matches = evaluator.start()
+    for atom in pattern.body[1:]:
+        matches = evaluator.extend(matches, atom, keep=True)
+    return frozenset(matches.bindings)
+
+
+def support(evaluator: SupportEvaluator, pattern: QuerySpec) -> Fraction:
+    """The support of ``pattern`` (``support_answers``)."""
+    return evaluator.fraction(support_answers(evaluator, pattern))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from genkb import (fan_out, random_eq_kb_text, random_kb, random_kb_text,
                    usable_kbs)
 from ontominer import model as m
@@ -189,7 +190,8 @@ def test_signature_keeps_only_key_positions():
 
 def support(kb, pattern):
     reference = pattern.body[0].pred
-    return SupportEvaluator(chase_parts(kb), reference).support(pattern)
+    return oracles.support(SupportEvaluator(chase_parts(kb), reference),
+                           pattern)
 
 
 def test_support_of_reference_query(bank_kb):
@@ -321,6 +323,16 @@ def test_no_two_retained_sem_patterns_equivalent(bank_kb, bank_ctx, sem_result):
             assert not bank_ctx.equivalent(p, q), f"{p} == {q}"
 
 
+def test_supports_share_one_object_per_answer_count(bank_kb, nosem_result):
+    """Nodes with equal support hold one ``Fraction``: one per answer count
+    up to the reference extension, plus the root's."""
+    nodes = nosem_result.trie.nodes()
+    evaluator = SupportEvaluator(chase_parts(bank_kb), "Client")
+    assert len(nodes) > 4
+    assert len({id(n.support) for n in nodes}) <= len(
+        evaluator.reference_extension) + 1
+
+
 def test_retained_sem_patterns_satisfiable_and_s_free(bank_ctx, sem_result):
     for p, _ in sem_result.patterns:
         assert bank_ctx.satisfiable(p)
@@ -330,7 +342,7 @@ def test_retained_sem_patterns_satisfiable_and_s_free(bank_ctx, sem_result):
 def test_retained_patterns_are_linked(sem_result, nosem_result):
     for res in (sem_result, nosem_result):
         for p, _ in res.patterns:
-            assert p.is_connected()
+            assert oracles.is_connected(p)
 
 
 def test_nosem_keeps_range_redundant_pattern(bank_kb, bank_ctx, nosem_result,

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -495,6 +496,45 @@ def test_frozen_constants_do_not_leak_between_queries(bank_kb, bank_ctx):
                              A(bank_kb, "relative", KEY, X),
                              A(bank_kb, "relative", KEY, Y)))
     assert bank_ctx.satisfiable(q_many)
+
+
+LAZY = """
+(concept A)
+(concept B)
+(concept C)
+(concept D)
+(role r)
+(subclass D (or A C))
+"""
+
+
+def test_containment_indexes_models_lazily(monkeypatch):
+    """A containment that fails in the first model of the specific query's
+    frozen chase reads no other model: its view indexes a model on first
+    use.  ``q2``'s frozen chase has two models, and ``q1`` holds every mark
+    they share but fails in model 0, where the D of y is an A, not a C."""
+    kb = parse_kb(LAZY)
+    ctx = SemanticContext(kb.without_abox())
+    read = []
+
+    class Model(frozenset):
+        def __iter__(self):
+            read.append(self)
+            return super().__iter__()
+
+    def counted_chase(*args, **kw):
+        ms = chase(*args, **kw)
+        return replace(ms, models=tuple(map(Model, ms.models)))
+
+    monkeypatch.setattr(reasoner, "chase", counted_chase)
+    q2 = QuerySpec(KEY, (A(kb, "r", KEY, Y), A(kb, "r", KEY, Z),
+                         A(kb, "B", Y), A(kb, "C", Z), A(kb, "D", Y)))
+    q1 = QuerySpec(KEY, (A(kb, "r", KEY, X), A(kb, "B", X), A(kb, "C", X)))
+    ms, _ = ctx._frozen_chase(q2, canonical_query(q2))
+    assert len(ms.models) == 2 and ("A", "$q1") in ms.models[0]
+    read.clear()
+    assert not ctx.subsumes(q1, q2)
+    assert read == [ms.models[0]]
 
 
 def test_canonical_query_invariant_under_renaming(bank_kb):
