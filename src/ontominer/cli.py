@@ -7,8 +7,9 @@ line), ``stats.csv`` (per-depth candidate counters), and ``trie.graphml``
 non-semantic settings on the same KB and writes ``compare.csv`` with the
 per-depth reduction ratios.  Each file is written line by line as it is
 produced, never held whole in memory.  All outputs are deterministic
-functions of the KB bytes and the configuration; wall-clock timing and the
-shape of the full-KB chase (parts, models, truncation) go to stdout only.
+functions of the KB bytes and the configuration; wall-clock timing, the
+shape of the full-KB chase (parts, models, truncation) and the count of
+truncated frozen query chases go to stdout only.
 
 Exit codes: 0 success, 1 usage, parse or validation error, 2 inconsistent
 KB, 3 empty reference concept, 4 resource limit.
@@ -155,6 +156,10 @@ def run(cfg: RunConfig) -> int:
     if result.stats.truncated_parts:
         print(f"truncated: {result.stats.truncated_parts} of {len(models)} "
               f"parts hit the skolem depth cap; patterns may be missing")
+    if result.stats.truncated_frozen:
+        print(f"truncated: {result.stats.truncated_frozen} frozen query "
+              f"chases hit the skolem depth cap; semantic verdicts read from "
+              f"them may be inexact")
     print(f"runtime: {result.stats.runtime:.3f}s")
     return 0
 

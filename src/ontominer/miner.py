@@ -109,13 +109,15 @@ class Counts:
 
 @dataclass
 class RunStats:
-    """Per-depth counters, the wall time, and the full chase's shape: the
-    model count of each ABox part and how many parts were truncated."""
+    """Per-depth counters, the wall time, the full chase's shape (the model
+    count of each ABox part and how many parts were truncated), and how
+    many memoized frozen chases of the semantic tests were truncated."""
 
     per_depth: dict[int, Counts] = field(default_factory=dict)
     runtime: float = 0.0
     part_models: tuple[int, ...] = ()
     truncated_parts: int = 0
+    truncated_frozen: int = 0
 
     def at(self, depth: int) -> Counts:
         return self.per_depth.setdefault(depth, Counts())
@@ -483,6 +485,8 @@ class _Miner:
             self.stats.at(depth)
         self.stats.at(1).record(ACCEPTED, True)  # the reference pattern
         self.expand_node(root, trie, self.evaluator.start())
+        if self.ctx is not None:
+            self.stats.truncated_frozen = self.ctx.truncated_chases()
         return MineResult(trie, self.stats)
 
     def expand_node(self, node: TrieNode, trie: Trie,

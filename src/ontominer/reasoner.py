@@ -55,11 +55,13 @@ of the semantic tests is the canonical-form cache plus, per context, a memo
 and a scan index: ``canonical_query`` memoizes into a process-global
 ``lru_cache``, so a second mining run in one process runs faster (time each
 run in a process of its own), and a ``SemanticContext``, built once per
-``sem`` run, keeps the rest (see there).
+``sem`` run, keeps the rest (see there).  The memo keeps each model as a
+tuple of atoms interned per context, one object per distinct ground atom.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -819,7 +821,7 @@ def canonical_query(q: QuerySpec) -> tuple:
         colours = _refine(atoms, colours)
         cell = min((c for c in colours if colours.count(c) > 1), default=None)
         if cell is None:
-            names = [f"_{c}" for c in colours]
+            names = [sys.intern(f"_{c}") for c in colours]
             return tuple(sorted((pred,) + tuple(
                 names[t] if type(t) is int else t for t in args)
                 for pred, args in atoms))
@@ -874,7 +876,10 @@ class SemanticContext:
     (``equivalence_scan``), and one memo by canonical form: full frozen
     chases, for the queries whose models are read (signatures, the specific
     side of a containment test), each with the marks common to its models
-    (``signature``), interned, and no index of them.  A containment needs
+    (``signature``), interned, and no index of them.  A memoized model is a
+    tuple of atoms, only ever iterated; the context keeps one object per
+    distinct atom and individuals tuple of its chases (hash-consing), and
+    the frozen constants are interned strings.  A containment needs
     each predicate of the general query in every model, so it is refused
     without a match when ``q2``'s facts cannot reach one (``subsumes``) or
     its marks lack one or a key position (``_contains``).  ``witnessable``:
@@ -889,9 +894,10 @@ class SemanticContext:
         self.program = clausify(kb_cp)
         self.base_facts = tuple(kb_cp.abox)
         self.cfg = cfg
-        # Each memoized chase with its marks, and each distinct marks set.
+        # Each memoized chase with its marks, and each distinct marks set,
+        # ground atom and individuals tuple of the chases.
         self._frozen: dict[tuple, tuple[ModelSet, frozenset]] = {}
-        self._marks: dict[frozenset, frozenset] = {}
+        self._interned: dict = {}
         # The noted patterns with their answers, each distinct answer set,
         # and the scan index by signature and answers over the first
         # ``_indexed`` of them.
@@ -909,7 +915,7 @@ class SemanticContext:
         constant ``$qi`` (the key is ``$q0``), and those constants."""
         mapping: dict[m.Var, m.Term] = {}
         for i, v in enumerate(q.variables()):
-            mapping[v] = m.Const(f"$q{i}")
+            mapping[v] = m.Const(sys.intern(f"$q{i}"))
         frozen = [a.substitute(mapping) for a in q.body]
         consts = frozenset(c.name for c in mapping.values())
         return list(self.base_facts) + frozen, consts
@@ -930,7 +936,11 @@ class SemanticContext:
                              for i, c in enumerate(a[1:]) if c == "$q0")
                 common = marks if common is None else common & marks
             marks = frozenset(common or ())
-            entry = ms, self._marks.setdefault(marks, marks)
+            intern = self._interned.setdefault
+            ms = replace(ms, models=tuple(tuple(intern(a, a) for a in model)
+                                          for model in ms.models),
+                         individuals=intern(ms.individuals, ms.individuals))
+            entry = ms, intern(marks, marks)
             self._frozen[form] = entry
         return entry
 
@@ -980,6 +990,10 @@ class SemanticContext:
         c1, c2 = canonical_query(q1), canonical_query(q2)
         return c1 == c2 or (self._contains(q1, q2, c2)
                             and self._contains(q2, q1, c1))
+
+    def truncated_chases(self) -> int:
+        """How many memoized frozen chases hit the skolem depth cap."""
+        return sum(ms.truncated for ms, _ in self._frozen.values())
 
     def signature(self, q: QuerySpec) -> Optional[frozenset]:
         """The marks every minimal model of the frozen chase of ``q`` holds

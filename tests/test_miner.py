@@ -9,6 +9,7 @@ from ontominer import model as m
 from ontominer.errors import EmptyReferenceConcept
 from ontominer.kbparse import parse_kb
 from ontominer import miner
+from ontominer.cli import main
 from ontominer.miner import (ACCEPTED, KEY, MODE_NOSEM, MODE_SEM, Counts,
                              MiningConfig, PRUNED_EQUIVALENT,
                              PRUNED_NOT_SFREE, PRUNED_UNSAT, SupportEvaluator,
@@ -662,6 +663,37 @@ def test_truncated_frozen_chase_is_compared_under_the_answer_key(first):
     second = "B" if first == "A" else "A"
     assert f"Q(?key) :- K(?key), {first}(?key)" in mined
     assert f"Q(?key) :- K(?key), {second}(?key)" not in mined
+
+
+def test_truncated_frozen_chases_are_counted_and_reported(tmp_path, capsys):
+    """On the KB above at skolem depth 0 no part is truncated, but the
+    frozen chase of K(key), A(key) is: ``RunStats`` counts it, ``mine``
+    prints a ``truncated:`` line for it, and ``stats.csv`` is as before."""
+    text = CAPPED.replace("(instance K d)\n(instance A d)\n",
+                          "(instance K e)\n")
+    cfg = MiningConfig("K", Fraction(1, 3), 2, MODE_SEM)
+    res = mine(parse_kb(text), cfg, ChaseConfig(skolem_depth_cap=0))
+    assert res.stats.truncated_parts == 0
+    assert res.stats.truncated_frozen > 0
+    assert mine(parse_kb(text), cfg).stats.truncated_frozen == 0
+    kb = tmp_path / "capped.kb"
+    kb.write_text(text)
+    args = ["mine", "--kb", str(kb), "--ref-concept", "K", "--minsup", "1/3",
+            "--max-depth", "2", "--mode", "sem"]
+    printed = {}
+    for depth in (0, 3):
+        out = tmp_path / f"skolem{depth}"
+        assert main(args + ["--skolem-depth", str(depth),
+                            "--out", str(out)]) == 0
+        printed[depth] = [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("truncated:")]
+    assert printed == {0: [f"truncated: {res.stats.truncated_frozen} frozen "
+                           f"query chases hit the skolem depth cap; semantic "
+                           f"verdicts read from them may be inexact"], 3: []}
+    assert (tmp_path / "skolem0" / "stats.csv").read_text().splitlines() == [
+        "depth,gen,sat,sfree,cand,freq"] + [
+        ",".join(map(str, (depth, *counts.as_tuple())))
+        for depth, counts in sorted(res.stats.per_depth.items())]
 
 
 GUARD = """

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -510,31 +509,87 @@ LAZY = """
 
 def test_containment_indexes_models_lazily(monkeypatch):
     """A containment that fails in the first model of the specific query's
-    frozen chase reads no other model: its view indexes a model on first
+    frozen chase indexes no other model: its view indexes a model on first
     use.  ``q2``'s frozen chase has two models, and ``q1`` holds every mark
     they share but fails in model 0, where the D of y is an A, not a C."""
     kb = parse_kb(LAZY)
     ctx = SemanticContext(kb.without_abox())
-    read = []
+    indexed = []
+    index = reasoner.ModelIndex.index
 
-    class Model(frozenset):
-        def __iter__(self):
-            read.append(self)
-            return super().__iter__()
+    def spy(self, i):
+        indexed.append((self, i))
+        return index(self, i)
 
-    def counted_chase(*args, **kw):
-        ms = chase(*args, **kw)
-        return replace(ms, models=tuple(map(Model, ms.models)))
-
-    monkeypatch.setattr(reasoner, "chase", counted_chase)
+    monkeypatch.setattr(reasoner.ModelIndex, "index", spy)
     q2 = QuerySpec(KEY, (A(kb, "r", KEY, Y), A(kb, "r", KEY, Z),
                          A(kb, "B", Y), A(kb, "C", Z), A(kb, "D", Y)))
     q1 = QuerySpec(KEY, (A(kb, "r", KEY, X), A(kb, "B", X), A(kb, "C", X)))
     ms, _ = ctx._frozen_chase(q2, canonical_query(q2))
     assert len(ms.models) == 2 and ("A", "$q1") in ms.models[0]
-    read.clear()
+    assert indexed == []
     assert not ctx.subsumes(q1, q2)
-    assert read == [ms.models[0]]
+    assert [i for _, i in indexed] == [0]
+    view = indexed[0][0]
+    assert [i for i, built in enumerate(view._indexes)
+            if built is not None] == [0]
+
+
+@pytest.mark.parametrize("source", ["bank_kb", "bank_inverse_kb", 0, 1])
+def test_frozen_memo_interns_atoms_and_keeps_the_chased_models(
+        monkeypatch, request, source):
+    """After a sem run at depth 3, equal atoms (and equal individuals
+    tuples) across every memoized frozen chase are one object, and each
+    memoized chase holds, model by model, the atoms of a fresh chase of
+    the frozen query it was made for.  Sources: both bank KBs and the
+    first two usable generated KBs."""
+    if isinstance(source, str):
+        kb = request.getfixturevalue(source)
+        cfg = MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM)
+    else:
+        kb = usable_kbs(2)[source][1]
+        cfg = MiningConfig("C0", Fraction(2, 5), 3, MODE_SEM)
+    contexts, made = set(), {}
+    frozen_chase = SemanticContext._frozen_chase
+
+    def spy(self, q, form):
+        contexts.add(self)
+        made.setdefault(form, q)
+        return frozen_chase(self, q, form)
+
+    monkeypatch.setattr(SemanticContext, "_frozen_chase", spy)
+    mine(kb, cfg)
+    ctx, = contexts
+    assert made.keys() == ctx._frozen.keys()
+    atoms, individuals = {}, {}
+    for form, (ms, _) in ctx._frozen.items():
+        assert individuals.setdefault(ms.individuals,
+                                      ms.individuals) is ms.individuals
+        for model in ms.models:
+            for atom in model:
+                assert atoms.setdefault(atom, atom) is atom
+        facts, consts = ctx._freeze(made[form])
+        fresh = chase(ctx.program, facts, ctx.cfg, extra_individuals=consts)
+        assert [set(model) for model in ms.models] == [
+            set(model) for model in fresh.models]
+        assert (ms.individuals, ms.inconsistent, ms.truncated) == (
+            fresh.individuals, fresh.inconsistent, fresh.truncated)
+
+
+def test_contexts_share_no_atom_table(bank_kb):
+    """Each context interns the atoms of its own frozen chases: a second
+    context's chase of the same query holds equal atoms, none of them an
+    object of the first's."""
+    q = QuerySpec(KEY, (A(bank_kb, "Client", KEY),
+                        A(bank_kb, "isOwnerOf", KEY, X)))
+    first, second = (SemanticContext(bank_kb.without_abox())
+                     for _ in range(2))
+    ms1, _ = first._frozen_chase(q, canonical_query(q))
+    ms2, _ = second._frozen_chase(q, canonical_query(q))
+    assert {frozenset(model) for model in ms1.models} == {
+        frozenset(model) for model in ms2.models}
+    assert {id(a) for model in ms1.models for a in model}.isdisjoint(
+        id(a) for model in ms2.models for a in model)
 
 
 def test_canonical_query_invariant_under_renaming(bank_kb):
