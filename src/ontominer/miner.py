@@ -34,9 +34,8 @@ non-reference atom is deducible from the rest), and non-equivalence to any
 frequent pattern already in the trie, tested only against the nodes that
 may be equivalent to it by frozen-chase signature and, unless a part of the
 full chase is truncated, by certain answers (``SemanticContext.note``).
-Those answers come first when no disjunctive rule has an existential
-disjunct: a candidate with one is satisfiable and is not searched.
-``nosem`` skips all three and accepts every candidate.
+Those answers come first: a candidate with one is satisfiable and is not
+searched.  ``nosem`` skips all three and accepts every candidate.
 
 Ordering is deterministic everywhere: bias order is KB declaration order,
 dependent atoms are ordered by predicate then placement, and counters,
@@ -417,16 +416,15 @@ def semantic_filter(pattern: QuerySpec, ctx: SemanticContext,
                     answers: Optional[Callable[[], frozenset]] = None) -> str:
     """Satisfiability, then semantic freeness, then the equivalence scan
     over the patterns noted in ``ctx`` that share the candidate's signature
-    and certain answers that ``answers``, if given, returns.  With those and
-    ``ctx.witnessable``, a candidate with an answer is satisfiable and is
-    not searched: its match lies in an untruncated full-KB model, and no
-    split drops a child, as no disjunct is existential."""
-    witnessed = answers is not None and ctx.witnessable and answers()
-    if not witnessed and not ctx.satisfiable(pattern):
+    and certain answers that ``answers``, if given, returns.  With those, a
+    candidate with an answer is satisfiable and is not searched: its match
+    lies in a model of the untruncated full KB, and the frozen chase never
+    denies consistency, even past the skolem depth cap."""
+    key = None if answers is None else answers()
+    if not key and not ctx.satisfiable(pattern):
         return PRUNED_UNSAT
     if not is_semantically_free(pattern, ctx):
         return PRUNED_NOT_SFREE
-    key = None if answers is None else answers()
     for other in ctx.equivalence_scan(pattern, key):
         if ctx.equivalent(pattern, other):
             return PRUNED_EQUIVALENT

@@ -10,10 +10,12 @@ The chase saturates a fact set under the program rules, branch by branch:
     so keeping every atom costs little and leaves the models as they are.
   * Existential heads create a memoized fresh constant per (rule, disjunct,
     binding) unless an existing witness already satisfies the head; a
-    single-head rule counts as disjunct 0.  The nesting depth of fresh
-    constants is capped; hitting the cap sets ``truncated``.
+    single-head rule counts as disjunct 0.  Past the depth cap on fresh
+    constants, an existential counts as satisfied, adds nothing and sets
+    ``truncated``: each leaf maps into every model making its choices, so
+    the chase can miss answers but never claims one or denies consistency.
   * Disjunctive heads split the branch, one child per disjunct, skipping
-    instances with a disjunct already true.  An inert rule, whose
+    instances with a disjunct already satisfied.  An inert rule, whose
     disjuncts nothing else reads or derives, is not split but settled at
     each leaf (see ``_Chase``).
   * Constraints (empty heads) kill the branch.
@@ -377,13 +379,23 @@ class _Chase:
                 return True
         return False
 
+    def _depth(self, binding: tuple) -> Optional[int]:
+        """The depth of a skolem constant made for ``binding``, or None past
+        the cap, which sets ``truncated``."""
+        depth = 1 + max((self.skolem_depth.get(c, 0) for c in binding
+                         if c is not None), default=0)
+        if depth > self.cfg.skolem_depth_cap:
+            self.truncated = True
+            return None
+        return depth
+
     def _head_atoms(self, branch: _Branch, index: int, di: int,
                     binding: tuple, head: tuple) -> list[GroundAtom]:
         """The atoms that make disjunct ``di`` of rule ``index`` true under
         ``binding``: the instantiated atom, or for an existential nothing
         when a witness exists, else an edge to the skolem constant memoized
         for (rule, disjunct, binding) plus its filler atom, and nothing once
-        that constant would pass the depth cap."""
+        that constant would pass the depth cap (``_option_satisfied``)."""
         if head[0] == "atom":
             pred, slots = head[1]
             return [(pred,) + _instantiate(slots, binding)]
@@ -393,10 +405,8 @@ class _Chase:
         key = (index, di, binding)
         skolem = self.skolem_memo.get(key)
         if skolem is None:
-            depth = 1 + max((self.skolem_depth.get(c, 0) for c in binding
-                             if c is not None), default=0)
-            if depth > self.cfg.skolem_depth_cap:
-                self.truncated = True
+            depth = self._depth(binding)
+            if depth is None:
                 return []
             skolem = f"$sk{len(self.skolem_memo)}"
             self.skolem_memo[key] = skolem
@@ -409,10 +419,13 @@ class _Chase:
         return atoms
 
     def _option_satisfied(self, branch: _Branch, head: tuple, binding: tuple) -> bool:
+        """True iff disjunct ``head`` holds under ``binding`` or is an
+        existential past the depth cap (``_depth``)."""
         if head[0] == "atom":
             pred, slots = head[1]
             return ((pred,) + _instantiate(slots, binding)) in branch.atoms
-        return self._has_witness(branch, head, binding)
+        return (self._has_witness(branch, head, binding)
+                or self._depth(binding) is None)
 
     # -- branch saturation ------------------------------------------------------
 
@@ -500,11 +513,11 @@ class _Chase:
 
     def _split(self, branch: _Branch,
                rules: tuple) -> Optional[list[_Branch]]:
-        """Find the first instance of ``rules`` with no disjunct true and
-        branch on it, one child per disjunct that can be made true.  No
-        witness is created before every disjunct is known to be false.  A
-        clean rule (``_clean``) would match its last instances in order, and
-        a true disjunct stays true, so only those then open are tested."""
+        """Find the first instance of ``rules`` with no disjunct satisfied
+        and branch on it, one child per disjunct.  No witness is created
+        before every disjunct is known to be false.  A clean rule
+        (``_clean``) would match its last instances in order, and a satisfied
+        disjunct stays satisfied, so only those then open are tested."""
         for index, body, heads, nvars in rules:
             if self._clean(branch, index):
                 instances = branch.open[index]
@@ -515,9 +528,9 @@ class _Chase:
                 b for b in instances
                 if not any(self._option_satisfied(branch, h, b) for h in heads)]
             if pending:
-                options = [self._head_atoms(branch, index, di, pending[0], h)
-                           for di, h in enumerate(heads)]
-                return [branch.clone(atoms) for atoms in options if atoms]
+                return [branch.clone(self._head_atoms(branch, index, di,
+                                                      pending[0], h))
+                        for di, h in enumerate(heads)]
         return None
 
     # -- driver -------------------------------------------------------------------
@@ -693,16 +706,12 @@ def split_abox(program: GroundProgram, facts: Sequence[m.Atom]
             for root, consts in members.items()]
 
 
-def ground_tuple(atom: m.Atom) -> GroundAtom:
-    return (atom.pred,) + tuple(t.name for t in atom.args)
-
-
 def cautious_entails(ms: ModelSet, atom: m.Atom) -> bool:
     """True iff the ground atom holds in every minimal model."""
     if ms.inconsistent:
         raise InconsistentKB("cautious entailment undefined: KB is inconsistent")
-    t = ground_tuple(atom)
-    return all(t in model for model in ms.models)
+    ground = (atom.pred,) + tuple(t.name for t in atom.args)
+    return all(ground in model for model in ms.models)
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +891,7 @@ class SemanticContext:
     the frozen constants are interned strings.  A containment needs
     each predicate of the general query in every model, so it is refused
     without a match when ``q2``'s facts cannot reach one (``subsumes``) or
-    its marks lack one or a key position (``_contains``).  ``witnessable``:
-    no disjunctive rule has an existential disjunct (``semantic_filter``).
+    its marks lack one or a key position (``_contains``).
 
     The memo and the index are per context and not locked, so share a
     context across threads only for reading after warm-up, or confine it to
@@ -898,17 +906,15 @@ class SemanticContext:
         # ground atom and individuals tuple of the chases.
         self._frozen: dict[tuple, tuple[ModelSet, frozenset]] = {}
         self._interned: dict = {}
-        # The noted patterns with their answers, each distinct answer set,
-        # and the scan index by signature and answers over the first
-        # ``_indexed`` of them.
+        # The noted patterns with their answers, each distinct answer set
+        # (interned), and the scan index by signature and answers over the
+        # first ``_indexed`` of them.
         self._noted: list[tuple[QuerySpec, Optional[frozenset]]] = []
-        self._answer_sets: set[Optional[frozenset]] = set()
-        self._by_key: dict[Optional[tuple], list[QuerySpec]] = {}
+        self._answer_sets: dict[Optional[frozenset], Optional[frozenset]] = {}
+        self._by_key: dict[tuple, list[QuerySpec]] = {}
         self._indexed = 0
         self._plan = _plan(self.program)
         self._base_preds = frozenset(a.pred for a in self.base_facts)
-        self.witnessable = all(head[0] == "atom" for _, _, heads, _
-                               in self._plan.kinds[3] for head in heads)
 
     def _freeze(self, q: QuerySpec) -> tuple[list[m.Atom], frozenset[str]]:
         """The base facts plus the body with variable i replaced by the
@@ -1010,32 +1016,27 @@ class SemanticContext:
     def note(self, q: QuerySpec, answers: Optional[frozenset] = None) -> None:
         """Add ``q``, with its certain ``answers`` if they key the scan, to
         the patterns ``equivalence_scan`` returns."""
+        answers = self._answer_sets.setdefault(answers, answers)
         self._noted.append((q, answers))
-        self._answer_sets.add(answers)
 
     def equivalence_scan(self, q: QuerySpec,
                          answers: Optional[frozenset] = None
                          ) -> list[QuerySpec]:
-        """The noted patterns ``q`` may be equivalent to, in noted order:
-        those sharing its signature plus those without one, or all when it
-        has none.  Given its certain ``answers``, fewer: containment read
-        from an untruncated chase is sound, so a pattern with a signature
-        contains ``q`` only if its answers are a subset of ``q``'s, equal if
-        ``q`` has one too; if none's are, it needs none.  Indexing waits
-        for the first scan after a pattern is noted."""
+        """The noted patterns with ``q``'s certain ``answers`` that ``q`` may
+        be equivalent to, in noted order: those sharing its signature plus
+        those without one, or all when it has none.  A chase, truncated or
+        not, claims only containments that hold, so no other pattern needs
+        comparing.  Indexing waits for the first scan after a note."""
         for p, noted in self._noted[self._indexed:]:
-            signature = self.signature(p)
-            key = None if signature is None else (signature, noted)
-            self._by_key.setdefault(key, []).append(p)
+            self._by_key.setdefault((self.signature(p), noted), []).append(p)
         self._indexed = len(self._noted)
-        unsigned = self._by_key.get(None, [])
-        if answers is not None and not any(
-                noted <= answers for noted in self._answer_sets):
-            return unsigned
+        if answers not in self._answer_sets:
+            return []
         signature = self.signature(q)
         if signature is None:
-            return [p for p, _ in self._noted]
-        return self._by_key.get((signature, answers), []) + unsigned
+            return [p for p, noted in self._noted if noted == answers]
+        return (self._by_key.get((signature, answers), [])
+                + self._by_key.get((None, answers), []))
 
 
 def format_models(ms: ModelSet) -> str:

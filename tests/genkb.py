@@ -156,6 +156,26 @@ def random_regrow_kb_text(seed: int) -> str:
     return text + "\n".join(extra) + "\n"
 
 
+def random_exists_kb_text(seed: int) -> str:
+    """``random_kb_text(seed)`` plus one or two disjunctions with an
+    existential disjunct, ``A ⊑ B ⊔ ∃r.C`` or ``A ⊑ ∃s.B ⊔ ∃r.C`` over its
+    concepts and roles, each with an instance of ``A``, drawn from their
+    own stream.  When ``C`` reaches ``A`` the chase splits along a skolem
+    chain up to the depth cap."""
+    text = random_kb_text(seed)
+    rng = random.Random(f"exists-{seed}")
+    concepts, roles = _declared(text, "concept"), _declared(text, "role")
+    extra = []
+    for _ in range(rng.randint(1, 2)):
+        a, b, c = (rng.choice(concepts) for _ in range(3))
+        other = (b if rng.random() < 0.5
+                 else f"(some {rng.choice(roles)} {b})")
+        r = rng.choice(roles)
+        extra += [f"(subclass {a} (or {other} (some {r} {c})))",
+                  f"(instance {a} e{len(extra)})"]
+    return text + "\n".join(extra) + "\n"
+
+
 _ABOX_HEADS = ("(fact ", "(related ", "(instance ")
 
 

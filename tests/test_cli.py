@@ -149,6 +149,26 @@ def test_inconsistent_kb_exit_code(tmp_path):
     assert exit_codes(bad, "A", tmp_path) == {"mine": 2, "compare": 2}
 
 
+def test_existential_disjuncts_past_the_skolem_cap_keep_the_kb_consistent(
+        tmp_path, capsys):
+    """Every disjunct of A's axiom is an existential, and the chain of As
+    passes the default skolem cap: there each counts as satisfied, so the
+    chase keeps a's branch instead of reading the KB as inconsistent."""
+    kb = tmp_path / "chain.kb"
+    kb.write_text("(concept A)\n(concept Client)\n(role r)\n(role s)\n"
+                  "(subclass A (or (some r A) (some s A)))\n"
+                  "(instance A a)\n(instance Client a)\n")
+    out = tmp_path / "run"
+    assert run_cli("mine", "--kb", str(kb), "--ref-concept", "Client",
+                   "--minsup", "1/2", "--max-depth", "2",
+                   "--out", str(out)) == 0
+    assert (out / "patterns.txt").read_text().splitlines() == [
+        "1.000000\tQ(key) :- Client(key)",
+        "1.000000\tQ(key) :- Client(key), A(key)"]
+    assert any(line.startswith("truncated:")
+               for line in capsys.readouterr().out.splitlines())
+
+
 def test_empty_reference_concept_exit_code(tmp_path):
     kb = tmp_path / "empty_ref.kb"
     kb.write_text("(concept A)\n(concept B)\n(instance B x)\n")

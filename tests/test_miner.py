@@ -623,11 +623,13 @@ CAPPED = """
 
 
 def test_truncated_full_chase_scans_without_the_answer_key():
-    """At skolem depth 0 the existential disjunct is dropped, so the
-    frozen chases make K(key), A(key) and K(key), B(key) equivalent, and d
-    answers both.  But a's witness satisfies that disjunct, so a answers
-    only the first: keyed on the computed answers, the scan would accept
-    the second.  Part d is truncated, so no scan may use the key."""
+    """At skolem depth 0 the existential disjunct is past the cap for d, so
+    it counts as satisfied: part d is truncated, and no scan may use the
+    key.  d answers K(key), A(key) but not K(key), B(key), which only b
+    answers, as is certain: a's witness satisfies the disjunct, and d may
+    satisfy it either way.  The truncated frozen chases claim no
+    equivalence of the two, so K(key), B(key) is accepted, not pruned as a
+    duplicate, and is infrequent."""
     kb = parse_kb(CAPPED)
     cfg = MiningConfig("K", Fraction(1, 2), 2, MODE_SEM)
     res, verdicts = _answer_key_verdicts(kb, cfg,
@@ -636,33 +638,44 @@ def test_truncated_full_chase_scans_without_the_answer_key():
     assert not any(k for *_, k in verdicts)
     assert [str(p) for p, _ in res.patterns] == [
         "Q(?key) :- K(?key)", "Q(?key) :- K(?key), A(?key)"]
-    assert PRUNED_EQUIVALENT in {v for _, v, _ in verdicts}
+    assert {str(body[-1]): v for body, v, _ in verdicts}["B(?key)"] == ACCEPTED
+    assert PRUNED_EQUIVALENT not in {v for _, v, _ in verdicts}
 
 
 @pytest.mark.parametrize("first", ["A", "B"])
 def test_truncated_frozen_chase_is_compared_under_the_answer_key(first):
     """With e in place of d no part is truncated, so the scans are keyed,
-    but the frozen chase of K(key), A(key) still is, and makes it
-    equivalent to K(key), B(key), though a answers only the first.  Mined
-    first, it is a node without a signature, which every candidate is
-    compared with; mined second, no node has its answers, but those of
-    K(key), B(key) fall below them, so it takes a signature and, having
-    none, is compared with every node.  Both ways the duplicate is pruned,
-    as without the key."""
+    but the frozen chase of K(key), A(key) still is, so it has no
+    signature.  It claims no equivalence with K(key), B(key): a answers
+    only the first, so each is kept, mined first or second, as without
+    the key.  Under the key, an unsigned pattern is compared only with
+    patterns that have its answers, whichever of the two is noted."""
     text = CAPPED.replace("(instance K d)\n(instance A d)\n",
                           "(instance K e)\n")
     if first == "B":
         text = text.replace("(concept A)\n(concept B)",
                             "(concept B)\n(concept A)")
+    kb = parse_kb(text)
     cfg = MiningConfig("K", Fraction(1, 3), 2, MODE_SEM)
-    res, verdicts = _answer_key_verdicts(parse_kb(text), cfg,
-                                         ChaseConfig(skolem_depth_cap=0))
+    capped = ChaseConfig(skolem_depth_cap=0)
+    res, verdicts = _answer_key_verdicts(kb, cfg, capped)
     assert res.stats.truncated_parts == 0
-    assert (PRUNED_EQUIVALENT, True) in {(v, k) for _, v, k in verdicts}
-    mined = {str(p) for p, _ in res.patterns}
+    assert {(v, k) for _, v, k in verdicts} == {(ACCEPTED, True)}
     second = "B" if first == "A" else "A"
-    assert f"Q(?key) :- K(?key), {first}(?key)" in mined
-    assert f"Q(?key) :- K(?key), {second}(?key)" not in mined
+    assert [str(p) for p, _ in res.patterns] == [
+        "Q(?key) :- K(?key)", f"Q(?key) :- K(?key), {first}(?key)",
+        f"Q(?key) :- K(?key), {second}(?key)",
+        "Q(?key) :- K(?key), r(?key, ?x1)"]
+    ctx = SemanticContext(kb.without_abox(), capped)
+    pattern = {c: QuerySpec(KEY, (A(kb, "K", KEY), A(kb, c, KEY)))
+               for c in "AB"}
+    answers = {"A": frozenset("ab"), "B": frozenset("b")}
+    assert ctx.signature(pattern["A"]) is None
+    assert ctx.signature(pattern["B"]) is not None
+    ctx.note(pattern[first], answers[first])
+    assert ctx.equivalence_scan(pattern[second], answers[second]) == []
+    assert ctx.equivalence_scan(pattern[second], answers[first]) == [
+        pattern[first]]
 
 
 def test_truncated_frozen_chases_are_counted_and_reported(tmp_path, capsys):
@@ -707,29 +720,44 @@ GUARD = """
 """
 
 
-def test_answers_witness_satisfiability_only_without_existential_disjuncts(
+def test_answers_witness_satisfiability_with_existential_disjuncts(
         monkeypatch, bank_kb):
     """r(a, a) settles a's disjunction, so no part is truncated and the
-    scans are keyed.  But a frozen chase of A(key) without an r-loop runs
-    the chain of A's existential disjunct past the depth cap and drops it,
-    so it is inconsistent, and A(key), r(key, x1), which a answers, is
-    pruned as unsatisfiable with or without the key: its answer witnesses
-    nothing.  bank.kb has no existential disjunct, so there the answers
-    spare some satisfiability searches."""
+    scans are keyed.  A frozen chase of A(key) without an r-loop runs the
+    chain of A's existential disjunct to the depth cap, where the disjunct
+    counts as satisfied, so it stays consistent: A(key), r(key, x1), which
+    a answers, is satisfiable with or without the key, as an endless
+    r-chain of As is a model.  So the answers spare the searches here, as
+    they spare some on bank.kb."""
     kb = parse_kb(GUARD)
     cfg = MiningConfig("A", Fraction(1, 2), 2, MODE_SEM)
     res, verdicts = _answer_key_verdicts(kb, cfg)
     assert res.stats.truncated_parts == 0
-    assert res.stats.at(2).as_tuple() == (2, 0, 0, 0, 0)
-    assert [v for _, v, _ in verdicts] == [PRUNED_UNSAT] * 2
-    assert SemanticContext(kb.without_abox()).witnessable is False
+    assert res.stats.at(2).as_tuple() == (2, 2, 2, 2, 2)
+    assert [(v, k) for _, v, k in verdicts] == [(ACCEPTED, True)] * 2
     satisfiable = SemanticContext.satisfiable
     searched = []
     monkeypatch.setattr(SemanticContext, "satisfiable", lambda self, q: (
         searched.append(q) or satisfiable(self, q)))
+    assert _outcome(mine(kb, cfg)) == _outcome(res)
+    assert searched == []
     res = mine(bank_kb, MiningConfig("Client", Fraction(1, 2), 3, MODE_SEM))
     tested = sum(c.gen for d, c in res.stats.per_depth.items() if d > 1)
     assert 0 < len(searched) < tested
+
+
+def test_noted_answers_are_one_object_per_value(bank_kb):
+    """After a sem run at depth 4 on the benchmark's family bias, the
+    context keeps each frequent pattern with its answers, and equal answer
+    sets are one object."""
+    bias = ("Client", "Account", "CreditCard", "Property", "isOwnerOf",
+            "relative", "p_familyAccount", "p_man", "p_woman")
+    run = miner._Miner(bank_kb, MiningConfig(
+        "Client", Fraction(1, 2), 4, MODE_SEM, bias), ChaseConfig())
+    res = run.run()
+    noted = [answers for _, answers in run.ctx._noted]
+    assert len(noted) == len(res.patterns) == 388
+    assert len({id(a) for a in noted}) == len(set(noted)) == 2
 
 
 def test_signature_index_matches_full_scan_on_random_kbs(monkeypatch):
